@@ -45,7 +45,6 @@ from .analysis import (
     CausalCone,
     ContractionCertificate,
     PeriodicityCertificate,
-    causal_past_contains,
     collisions_in_cone,
     detect_contraction,
     detect_periodicity,

@@ -125,20 +125,22 @@ def _homothety(s1: RunState, s2: RunState) -> Optional[tuple[Scalar, Scalar]]:
 def contraction_replay_matches(
     diagram: SpaceTimeDiagram, cert: ContractionCertificate
 ) -> bool:
-    """Soundness check: re-simulate from the scaled t1 configuration and
-    demand the (t1, t2] events reappear scaled by the ratio about the center."""
+    """Soundness check: the t2 configuration must be the homothetic image of
+    the t1 configuration, site by site, and re-simulating from that image
+    must reproduce the (t1, t2] events scaled by the ratio about the center."""
     base = configuration_at(diagram, cert.t1)
     scaled_sites = [
         (cert.center_x + cert.ratio * (p - cert.center_x), sigs)
         for p, sigs in base.sites
     ]
-    config = InitialConfiguration(scaled_sites)
+    if tuple(scaled_sites) != configuration_at(diagram, cert.t2).sites:
+        return False
     window = [e for e in diagram.events if cert.t1 < e.time <= cert.t2]
     if not window:
         return False
     replay = run(
         diagram.machine,
-        config,
+        InitialConfiguration(scaled_sites),
         RunLimits(max_events=len(window) + 1, max_time=cert.ratio * (cert.t2 - cert.t1)),
     )
     expected = sorted(
@@ -350,9 +352,9 @@ def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:
         times.add(last + 3)
     times = sorted(times)
     sp = inner.machine.speed_of
-    segs = sorted(inner.segments, key=lambda s: _HeapKey(s.birth_time))
+    segs = sorted(inner.segments, key=lambda s: s.birth_time)
     open_segs: list = []
-    heap: list[tuple[_HeapKey, int, object]] = []
+    heap: list[tuple[Scalar, int, object]] = []
     i = 0
     for t in times:
         while i < len(segs) and segs[i].birth_time <= t:
@@ -360,9 +362,9 @@ def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:
             if seg.death_time is None:
                 open_segs.append(seg)
             else:
-                heapq.heappush(heap, (_HeapKey(seg.death_time), i, seg))
+                heapq.heappush(heap, (seg.death_time, i, seg))
             i += 1
-        while heap and heap[0][0].value < t:
+        while heap and heap[0][0] < t:
             heapq.heappop(heap)
         for _, _, seg in heap:
             if seg.birth_time <= t and not index.covers_point(
@@ -375,24 +377,6 @@ def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:
             ):
                 return False
     return True
-
-
-class _HeapKey:
-    """Total-order wrapper so sorting containers can hold Scalar priorities."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Scalar) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_HeapKey") -> bool:
-        return self.value < other.value
-
-    def __le__(self, other: "_HeapKey") -> bool:
-        return self.value <= other.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _HeapKey) and self.value == other.value
 
 
 # -- causal past -------------------------------------------------------------------
@@ -421,11 +405,6 @@ class CausalCone:
         dt = t - self.apex_t
         dx = x - self.apex_x
         return self.max_right_speed * dt < dx and dx < self.max_left_speed * dt
-
-
-def causal_past_contains(cone: CausalCone, point: tuple[Scalar, Scalar]) -> bool:
-    x, t = point
-    return cone.contains(x, t)
 
 
 def collisions_in_cone(diagram: SpaceTimeDiagram, cone: CausalCone) -> int:

@@ -8,6 +8,7 @@ so CI can tell "inconclusive" from "wrong".
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -29,7 +30,8 @@ from .presets import (
     build_modulo,
     build_sm4,
     build_subtraction,
-    read_encoded_value,
+    read_arithmetic_result,
+    read_encoded_value,  # noqa: F401  (kept importable here: bench/tracing.py patches it)
 )
 from .scalars import FieldContext, format_scalar
 from .svg import RenderOptions, render_diagram
@@ -84,10 +86,20 @@ def _load_system(args):
         return build_sm4(), None
     builders = {"sub": build_subtraction, "mod": build_modulo, "gcd": build_gcd}
     if args.preset in builders:
-        ctx = FieldContext(0)
+        ctx = _operand_field(args.a, args.b)
         a, b = ctx.parse(args.a), ctx.parse(args.b)
-        return builders[args.preset](a, b), args.preset
+        return builders[args.preset](a, b, ctx=ctx), args.preset
     return build_gcd_phi(), None
+
+
+def _operand_field(*texts: str) -> FieldContext:
+    """Q(sqrt(d)) for the first irrational radical among the operands, else
+    Q; an operand with a different radical then fails to parse."""
+    for d in re.findall(r"sqrt\((\d+)\)", " ".join(texts)):
+        ctx = FieldContext(int(d))
+        if not ctx.is_rational:
+            return ctx
+    return FieldContext(0)
 
 
 def _cmd_run(args) -> int:
@@ -134,17 +146,7 @@ def _cmd_run(args) -> int:
 
     if arith is not None and diagram.halt_reason == QUIESCENT:
         try:
-            if arith == "gcd":
-                value = read_encoded_value(diagram.final_state, machine).value
-            else:
-                try:
-                    value = read_encoded_value(
-                        diagram.final_state, machine, "wall0", "wall_r"
-                    ).value
-                except ReadoutError:
-                    if arith != "mod":
-                        raise
-                    value = machine.ctx.zero()
+            value = read_arithmetic_result(arith, diagram.final_state, machine)
             print(f"result = {format_scalar(value)}")
         except ReadoutError as e:
             print(f"readout failed: {e}", file=sys.stderr)

@@ -1,10 +1,12 @@
-"""Event-driven dynamics: next-collision search, advancing, full runs.
+"""Event-driven dynamics: one scheduler for next-collision search, single
+steps and full runs.
 
-The scheduler scans adjacent site pairs only; the minimal positive meeting
-delay is always realized by such a pair, a fact the test suite checks against
-a brute-force all-pairs oracle.  All collision coordinates are exact scalars,
-so simultaneous and multi-way collisions group by literal position equality
-with no tie-breaking.
+`run`, `advance` and `next_collision_delta` all drive the same `_Runner`,
+which scans adjacent site pairs only; the minimal positive meeting delay is
+always realized by such a pair, a fact the test suite checks against a
+brute-force all-pairs oracle through `next_collision_delta`.  All collision
+coordinates are exact scalars, so simultaneous and multi-way collisions group
+by literal position equality with no tie-breaking.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ class RunState:
 
     def positions(self) -> tuple[Scalar, ...]:
         return tuple(p for p, _ in self.sites)
-
-    def signal_count(self) -> int:
-        return sum(len(sigs) for _, sigs in self.sites)
 
 
 @dataclass(frozen=True)
@@ -155,109 +154,87 @@ class SpaceTimeDiagram:
         return f"SpaceTimeDiagram({len(self.events)} events, halt={self.halt_reason})"
 
 
-# -- next-collision search ----------------------------------------------------
+# -- the scheduler ----------------------------------------------------------------
+#
+# Every live signal is a member (speed rank, meta-signal, open segment), and
+# each site keeps its members sorted by (rank, index).  The first meeting is
+# always between adjacent sites, the fastest member of the left one against
+# the slowest of the right one, so one pass over neighbouring pairs finds the
+# minimal delay.  Walking the sites in order at that delay yields
+# non-decreasing landing positions (two signals can only swap order by first
+# meeting), so one linear pass groups the collisions by exact position.
 
-_Member = tuple[MetaSignal, int]  # meta-signal and its open segment id (-1: untracked)
+_Member = tuple[int, MetaSignal, Segment]
 _LiveSite = tuple[Scalar, list[_Member]]
 
 
-def next_collision_delta(
-    machine: SignalMachine, state: RunState
-) -> tuple[Optional[Scalar], list[tuple[Scalar, frozenset[MetaSignal]]]]:
-    """Minimal positive delay until some signals meet, plus every meeting
-    point realized at that delay.  (None, []) when nothing ever collides."""
-    delta = _min_delta(machine, state.sites)
-    if delta is None:
-        return None, []
-    sp = machine.speed_of
-    landing: dict[Scalar, list[MetaSignal]] = {}
-    for x, sigs in state.sites:
-        for ms in sigs:
-            landing.setdefault(x + sp(ms) * delta, []).append(ms)
-    groups = [
-        (p, frozenset(members))
-        for p, members in landing.items()
-        if len(members) >= 2
-    ]
-    groups.sort(key=lambda g: g[0])
-    return delta, groups
-
-
-def _min_delta(machine: SignalMachine, sites: Sequence[Site]) -> Optional[Scalar]:
-    best: Optional[Scalar] = None
-    sp = machine.speed_of
-    for (x1, sigs1), (x2, sigs2) in zip(sites, sites[1:]):
-        vmax = max(sp(m) for m in sigs1)
-        vmin = min(sp(m) for m in sigs2)
-        if vmax > vmin:
-            d = (x2 - x1) / (vmax - vmin)
-            if best is None or d < best:
-                best = d
-    return best
-
-
-# -- run internals --------------------------------------------------------------
-#
-# Site members are kept sorted by speed.  Walking the sites in order then
-# yields non-decreasing landing positions at the next collision time (two
-# signals can only swap order by first meeting, and the minimal delay stops
-# exactly at the meeting), so advancing needs a single linear grouping pass
-# instead of a global sort.
-
-
 class _Runner:
-    """Mutable loop state shared by advance() and run()."""
+    """The scheduler: sorted live sites, the clock, and the events and
+    segments recorded since construction."""
 
     def __init__(
         self,
         machine: SignalMachine,
-        live: list[_LiveSite],
+        sites: Sequence[Site],
         time: Scalar,
         event_count: int,
-        track_segments: bool = False,
     ) -> None:
         self.machine = machine
-        self.live = live
+        self.speeds = machine.distinct_speeds()
+        self.rank = {
+            ms: self.speeds.index(machine.speed_of(ms)) for ms in machine.signals
+        }
         self.time = time
         self.event_count = event_count
-        self.new_events: list[Event] = []
-        self.track_segments = track_segments
+        self.events: list[Event] = []
         self.segments: list[Segment] = []
+        self.live: list[_LiveSite] = [
+            (p, self.open_site(p, sigs, None)) for p, sigs in sites
+        ]
 
-    def open_segment(
-        self, ms: MetaSignal, pos: Scalar, t: Scalar, ev: Optional[int]
-    ) -> int:
-        self.segments.append(Segment(ms, pos, t, ev))
-        return len(self.segments) - 1
-
-    def sort_members(self, members: list[_Member]) -> list[_Member]:
-        sp = self.machine.speed_of
-        return sorted(members, key=lambda m: _SpeedKey(sp(m[0])))
+    def open_site(
+        self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int]
+    ) -> list[_Member]:
+        """One new segment per signal at (p, now), in (rank, index) order."""
+        rank = self.rank
+        members: list[_Member] = []
+        for ms in sorted(sigs, key=lambda m: (rank[m], m.index)):
+            seg = Segment(ms, p, self.time, ev)
+            self.segments.append(seg)
+            members.append((rank[ms], ms, seg))
+        return members
 
     def min_delta(self) -> Optional[Scalar]:
         best: Optional[Scalar] = None
-        sp = self.machine.speed_of
+        speeds = self.speeds
         for (x1, m1), (x2, m2) in zip(self.live, self.live[1:]):
-            vmax = sp(m1[-1][0])  # members are speed-sorted
-            vmin = sp(m2[0][0])
-            if vmax > vmin:
-                d = (x2 - x1) / (vmax - vmin)
+            fast, slow = m1[-1][0], m2[0][0]
+            if fast > slow:
+                d = (x2 - x1) / (speeds[fast] - speeds[slow])
                 if best is None or d < best:
                     best = d
         return best
 
-    def _landings(self, delta: Scalar):
-        sp = self.machine.speed_of
+    def landings(self, delta: Scalar) -> list[_LiveSite]:
+        """Sites after every signal moves by delta*speed, members landing on
+        one position grouped.  Only valid for 0 < delta <= min_delta()."""
+        moves = [v * delta for v in self.speeds]
+        groups: list[_LiveSite] = []
         for x, members in self.live:
-            for ms, seg in members:
-                yield x + sp(ms) * delta, ms, seg
+            for m in members:
+                p = x + moves[m[0]]
+                if groups and groups[-1][0] == p:
+                    groups[-1][1].append(m)
+                else:
+                    groups.append((p, [m]))
+        return groups
 
     def drift_all(self, delta: Scalar) -> None:
         """Move every signal by delta*speed, no collisions resolved.  Only
         valid for delta below the next collision delay."""
         if delta.sign() == 0:
             return
-        self.live = [(p, [(ms, seg)]) for p, ms, seg in self._landings(delta)]
+        self.live = self.landings(delta)
         self.time = self.time + delta
 
     def step(self, delta: Scalar) -> None:
@@ -266,84 +243,67 @@ class _Runner:
         if delta.sign() <= 0:
             raise AssertionError("collision delay must be strictly positive")
         t_new = self.time + delta
-        groups: list[tuple[Scalar, list[_Member]]] = []
-        for p, ms, seg in self._landings(delta):
-            if groups and groups[-1][0] == p:
-                groups[-1][1].append((ms, seg))
-            else:
-                groups.append((p, [(ms, seg)]))
-        collisions: dict[int, frozenset[MetaSignal]] = {}
+        groups = self.landings(delta)
+        fired: dict[int, tuple[frozenset[MetaSignal], frozenset[MetaSignal]]] = {}
         for gi, (p, members) in enumerate(groups):
             if len(members) >= 2:
-                incoming = frozenset(ms for ms, _ in members)
+                incoming = frozenset(ms for _, ms, _ in members)
                 outgoing = self.machine.rule_for(incoming)
                 if outgoing is None:
                     raise MissingRuleError(p, t_new, incoming)
-                collisions[gi] = outgoing
-        if not collisions:
+                fired[gi] = (incoming, outgoing)
+        if not fired:
             raise AssertionError("step() called with no collision at delta")
-        new_live: list[_LiveSite] = []
-        for gi, (p, members) in enumerate(groups):
-            if gi not in collisions:
-                new_live.append((p, members))
-                continue
-            outgoing = collisions[gi]
-            incoming = frozenset(ms for ms, _ in members)
-            idx = self.event_count
-            self.new_events.append(Event(idx, t_new, p, incoming, outgoing))
-            self.event_count += 1
-            if self.track_segments:
-                for _, seg in members:
-                    if seg >= 0:
-                        self.segments[seg].death_time = t_new
-                        self.segments[seg].death_event = idx
-                fresh = [
-                    (ms, self.open_segment(ms, p, t_new, idx)) for ms in outgoing
-                ]
-            else:
-                fresh = [(ms, -1) for ms in outgoing]
-            if fresh:
-                new_live.append((p, self.sort_members(fresh)))
-        self.live = new_live
         self.time = t_new
+        live: list[_LiveSite] = []
+        for gi, (p, members) in enumerate(groups):
+            if gi not in fired:
+                live.append((p, members))
+                continue
+            incoming, outgoing = fired[gi]
+            idx = self.event_count
+            self.events.append(Event(idx, t_new, p, incoming, outgoing))
+            self.event_count += 1
+            for _, _, seg in members:
+                seg.death_time = t_new
+                seg.death_event = idx
+            if outgoing:
+                live.append((p, self.open_site(p, outgoing, idx)))
+        self.live = live
 
     def state(self) -> RunState:
         sites = tuple(
-            (p, frozenset(ms for ms, _ in members)) for p, members in self.live
+            (p, frozenset(ms for _, ms, _ in members)) for p, members in self.live
         )
         return RunState(self.time, sites, self.event_count)
 
 
-class _SpeedKey:
-    """Sort adapter over exact speeds."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: Scalar) -> None:
-        self.v = v
-
-    def __lt__(self, other: "_SpeedKey") -> bool:
-        return self.v < other.v
+def next_collision_delta(
+    machine: SignalMachine, state: RunState
+) -> tuple[Optional[Scalar], list[tuple[Scalar, frozenset[MetaSignal]]]]:
+    """Minimal positive delay until some signals meet, plus every meeting
+    point realized at that delay.  (None, []) when nothing ever collides."""
+    runner = _Runner(machine, state.sites, state.time, state.event_count)
+    delta = runner.min_delta()
+    if delta is None:
+        return None, []
+    groups = [
+        (p, frozenset(ms for _, ms, _ in members))
+        for p, members in runner.landings(delta)
+        if len(members) >= 2
+    ]
+    return delta, groups
 
 
 def advance(machine: SignalMachine, state: RunState) -> tuple[RunState, list[Event]]:
     """One dynamics step from an arbitrary state.  Raises MissingRuleError on
     an unruled collision and ValueError when no collision is ahead."""
-    delta = _min_delta(machine, state.sites)
+    runner = _Runner(machine, state.sites, state.time, state.event_count)
+    delta = runner.min_delta()
     if delta is None:
         raise ValueError("no further collision: delta is infinite")
-    runner = _Runner(machine, _live_from_state(machine, state), state.time, state.event_count)
     runner.step(delta)
-    return runner.state(), runner.new_events
-
-
-def _live_from_state(machine: SignalMachine, state: RunState) -> list[_LiveSite]:
-    runner_sites: list[_LiveSite] = []
-    sp = machine.speed_of
-    for p, sigs in state.sites:
-        members = sorted(((ms, -1) for ms in sigs), key=lambda m: _SpeedKey(sp(m[0])))
-        runner_sites.append((p, members))
-    return runner_sites
+    return runner.state(), runner.events
 
 
 # -- full runs ------------------------------------------------------------------
@@ -360,22 +320,8 @@ def run(
     """Iterate the dynamics until quiescence, a limit, a missing rule, or a
     certificate from the optional analysis callback."""
     limits = limits or RunLimits()
-    zero = machine.ctx.zero()
-    runner = _Runner(machine, [], zero, 0, track_segments=True)
-    runner.live = [
-        (
-            p,
-            runner.sort_members(
-                [
-                    (ms, runner.open_segment(ms, p, zero, None))
-                    for ms in sorted(sigs, key=lambda m: m.index)
-                ]
-            ),
-        )
-        for p, sigs in config.sites
-    ]
-
-    events: list[Event] = []
+    runner = _Runner(machine, config.sites, machine.ctx.zero(), 0)
+    events = runner.events
     snapshots = [runner.state()]
     halt_reason = QUIESCENT
     halt_detail: Optional[MissingRuleError] = None
@@ -393,14 +339,12 @@ def run(
             runner.drift_all(limits.max_time - runner.time)
             halt_reason = TIME_LIMIT
             break
-        runner.new_events = []
         try:
             runner.step(delta)
         except MissingRuleError as err:
             halt_reason = MISSING_RULE
             halt_detail = err
             break
-        events.extend(runner.new_events)
         snapshots.append(runner.state())
         if certifier is not None:
             certificate = certifier(events, snapshots)
@@ -438,6 +382,6 @@ def configuration_at(diagram: SpaceTimeDiagram, t: Scalar) -> RunState:
     sp = diagram.machine.speed_of
     sites: list[Site] = []
     for x, sigs in base.sites:  # strictly before the next event: no co-location
-        for ms in sorted(sigs, key=lambda m: _SpeedKey(sp(m))):
+        for ms in sorted(sigs, key=sp):
             sites.append((x + sp(ms) * delta, frozenset((ms,))))
     return RunState(t, tuple(sites), base.event_count)

@@ -274,6 +274,19 @@ def read_encoded_value(
     return EncodedValue(origins[0], values[0])
 
 
+def read_arithmetic_result(kind: str, state: RunState, machine: SignalMachine) -> Scalar:
+    """The value a halted sub/mod/gcd run leaves between its final walls.
+    Raises ReadoutError when the walls do not encode one."""
+    if kind == "gcd":
+        return read_encoded_value(state, machine).value
+    try:
+        return read_encoded_value(state, machine, origin="wall0", value="wall_r").value
+    except ReadoutError:
+        if kind == "mod":  # exact multiple: the sweep erased every wall but wall0
+            return machine.ctx.zero()
+        raise
+
+
 def geometric_result(
     kind: str,
     a: ScalarLike,
@@ -296,16 +309,7 @@ def geometric_result(
             f"{kind} run did not halt (reason: {diagram.halt_reason}); "
             "commensurate inputs must reach quiescence"
         )
-    if kind == "gcd":
-        return read_encoded_value(diagram.final_state, machine).value
-    try:
-        return read_encoded_value(
-            diagram.final_state, machine, origin="wall0", value="wall_r"
-        ).value
-    except ReadoutError:
-        if kind == "mod":  # exact multiple: the sweep erased every wall but wall0
-            return machine.ctx.zero()
-        raise
+    return read_arithmetic_result(kind, diagram.final_state, machine)
 
 
 # -- wall traces -------------------------------------------------------------------

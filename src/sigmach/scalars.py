@@ -15,22 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-try:  # gmpy2 rationals are a drop-in, much faster backend when present
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover
-    _RAT = Fraction
-
 RationalLike = Union[int, Fraction, str]
 ScalarLike = Union["Scalar", int, Fraction]
 
 
-def _rat(value) -> "_RAT":
-    if isinstance(value, str):
-        return _RAT(Fraction(value))
-    return _RAT(value)
-
-
-_ZERO = _rat(0)
+_ZERO = Fraction(0)
 
 
 class FieldError(ValueError):
@@ -72,16 +61,16 @@ class FieldContext:
         return self.d == 0
 
     def scalar(self, a: RationalLike, b: RationalLike = 0) -> Scalar:
-        a, b = _rat(a), _rat(b)
+        a, b = Fraction(a), Fraction(b)
         if self.d == 0 and b != 0:
             raise FieldError("irrational part in a rational field context")
         return Scalar(a, b, self.d)
 
     def zero(self) -> Scalar:
-        return Scalar(_rat(0), _rat(0), self.d)
+        return Scalar(Fraction(0), Fraction(0), self.d)
 
     def one(self) -> Scalar:
-        return Scalar(_rat(1), _rat(0), self.d)
+        return Scalar(Fraction(1), Fraction(0), self.d)
 
     def sqrt_term(self, coefficient: RationalLike, radicand: int) -> Scalar:
         """coefficient * sqrt(radicand), folding square factors.
@@ -90,12 +79,12 @@ class FieldContext:
         0/1, which is rational); anything else is a mixed radical.
         """
         f, r = square_free_split(radicand)
-        c = _rat(coefficient)
+        c = Fraction(coefficient)
         if r <= 1:
             return self.scalar(c * f * r)
         if r != self.d:
             raise FieldError(f"sqrt({radicand}) does not live in Q(sqrt({self.d}))")
-        return Scalar(_rat(0), c * f, self.d)
+        return Scalar(Fraction(0), c * f, self.d)
 
     def parse(self, text: str) -> Scalar:
         return parse_scalar(text, self)
@@ -176,7 +165,7 @@ class Scalar:
 
     def _pair(self, other: ScalarLike) -> tuple[Scalar, int]:
         if isinstance(other, numbers.Rational):
-            return Scalar(_rat(other), _ZERO, self.d), self.d
+            return Scalar(Fraction(other), _ZERO, self.d), self.d
         if not isinstance(other, Scalar):
             return NotImplemented, 0
         if other.d == self.d:
@@ -249,10 +238,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    @property
-    def is_rational_value(self) -> bool:
-        return self.b == 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, numbers.Rational):
@@ -327,10 +312,6 @@ def as_scalar(value: ScalarLike, ctx: FieldContext) -> Scalar:
             return Scalar(value.a, value.b, ctx.d) if value.b == 0 else value
         raise FieldError(f"scalar from sqrt({value.d}) used in Q(sqrt({ctx.d}))")
     return ctx.scalar(value)
-
-
-def sign(x: Scalar) -> int:
-    return x.sign()
 
 
 def is_commensurate(x: Scalar, y: Scalar) -> bool:

@@ -1,11 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from sigmach.analysis import (
     CausalCone,
-    causal_past_contains,
     collisions_in_cone,
     contraction_replay_matches,
     detect_contraction,
@@ -54,6 +54,16 @@ class TestContraction:
     def test_sm4_replay_soundness(self, sm4_diagram):
         cert = detect_contraction(sm4_diagram)
         assert contraction_replay_matches(sm4_diagram, cert)
+
+    def test_replay_rejects_wrong_certificates(self):
+        machine, config = build_sm4()
+        diagram = run(machine, config, RunLimits(max_events=60))
+        cert = detect_contraction(diagram)
+        assert contraction_replay_matches(diagram, cert)
+        squared = replace(cert, ratio=cert.ratio * cert.ratio)
+        assert not contraction_replay_matches(diagram, squared)
+        off_center = replace(cert, center_x=Q.one(), ratio=Q.scalar(Fraction(1, 2)))
+        assert not contraction_replay_matches(diagram, off_center)
 
     def test_sm4_geometric_partial_sums(self, sm4_diagram):
         cert = detect_contraction(sm4_diagram)
@@ -231,7 +241,7 @@ class TestCausalCone:
         inside = [
             e
             for e in sm4_diagram.events
-            if causal_past_contains(cone, (e.position, e.time))
+            if cone.contains(e.position, e.time)
         ]
         assert inside == [first]
 

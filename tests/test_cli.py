@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import sigmach
 from sigmach.cli import main
 from sigmach.svg import RenderOptions, render_diagram
 from sigmach.engine import RunLimits, run
@@ -46,6 +50,17 @@ class TestRunCommand:
         )
         assert "ACCUMULATION center=0" in capsys.readouterr().out
 
+    def test_irrational_operand_accumulates(self, capsys):
+        argv = ["run", "--preset", "gcd", "--a", "1", "--b=-1+1*sqrt(2)"]
+        assert main(argv + ["--max-events", "60", "--detect-accumulation"]) == 0
+        out = capsys.readouterr().out
+        assert "ACCUMULATION center=0 time=2+1*sqrt(2) ratio=-1+1*sqrt(2)" in out
+
+    def test_mixed_radical_operands_are_rejected(self, capsys):
+        argv = ["run", "--preset", "gcd", "--a", "1*sqrt(3)", "--b=-1+1*sqrt(2)"]
+        assert main(argv) == 1
+        assert "sqrt(2)" in capsys.readouterr().err
+
     def test_missing_rule_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.machine"
         bad.write_text("signal a 1\nsignal b 0\ninit a@0\ninit b@1\n")
@@ -89,6 +104,20 @@ class TestDeterminism:
         d1 = run(machine, config, RunLimits(max_events=12))
         d2 = run(machine, config, RunLimits(max_events=12))
         assert render_diagram(d1, RenderOptions()) == render_diagram(d2, RenderOptions())
+
+    def test_svg_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        src = str(Path(sigmach.__file__).resolve().parent.parent)
+        docs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"gcd{seed}.svg"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "sigmach.cli", "run", "--preset", "gcd",
+                 "--a", "200", "--b", "3", "--svg", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
 
     def test_empty_diagram_renders_axes(self):
         from sigmach.model import InitialConfiguration
