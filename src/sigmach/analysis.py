@@ -11,7 +11,6 @@ Non-accumulation evidence comes from exact windowed periodicity or, for
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -295,86 +294,78 @@ def _constant_tail(key, checkpoints, t_start, horizon) -> Optional[Scalar]:
 # -- diagram inclusion ------------------------------------------------------------
 
 
-class _SupportIndex:
-    """Constant-time membership test for points on a diagram's support."""
+# A span is a closed time interval (lo, hi) on one line; hi None is +infinity.
+_Span = tuple[Scalar, Optional[Scalar]]
 
-    def __init__(self, diagram: SpaceTimeDiagram) -> None:
-        self.machine = diagram.machine
-        self.horizon = diagram.horizon
-        self.event_points = {(e.position, e.time) for e in diagram.events}
-        self.by_speed: dict[Scalar, dict[Scalar, list]] = {}
-        sp = diagram.machine.speed_of
-        for seg in diagram.segments:
-            v = sp(seg.signal)
-            intercept = seg.birth_position - v * seg.birth_time
-            self.by_speed.setdefault(v, {}).setdefault(intercept, []).append(
-                (seg.birth_time, seg.death_time)
-            )
 
-    def covers_point(self, x: Scalar, t: Scalar) -> bool:
-        if (x, t) in self.event_points:
-            return True
-        for v, lines in self.by_speed.items():
-            spans = lines.get(x - v * t)
-            if not spans:
+def _before(a: Optional[Scalar], b: Optional[Scalar]) -> bool:
+    """a < b, where None stands for +infinity."""
+    return a is not None and (b is None or a < b)
+
+
+def _spans_by_line(
+    diagram: SpaceTimeDiagram, cap: Optional[Scalar]
+) -> dict[tuple[Scalar, Scalar], list[_Span]]:
+    """Each segment's span [birth, min(death, cap)], keyed by its line
+    (speed, x - speed*t); segments born after cap are dropped."""
+    sp = diagram.machine.speed_of
+    lines: dict[tuple[Scalar, Scalar], list[_Span]] = {}
+    for seg in diagram.segments:
+        hi = seg.death_time
+        if _before(cap, hi):
+            if cap < seg.birth_time:
                 continue
-            for birth, death in spans:
-                if birth <= t and (death is None or t <= death):
-                    return True
-        return False
+            hi = cap
+        v = sp(seg.signal)
+        line = (v, seg.birth_position - v * seg.birth_time)
+        lines.setdefault(line, []).append((seg.birth_time, hi))
+    return lines
+
+
+def _union(spans: list[_Span]) -> list[_Span]:
+    """Sorted, disjoint closed intervals covering exactly the given spans."""
+    merged: list[_Span] = []
+    for lo, hi in sorted(spans, key=lambda s: s[0]):
+        if merged and not _before(merged[-1][1], lo):
+            if _before(merged[-1][1], hi):
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:
-    """True iff every event and every segment point of `inner`, sampled at
-    t = 0, at inner event times, and at the common horizon, lies on `outer`'s
-    support within the common time horizon."""
+    """True iff `inner`'s support lies on `outer`'s up to the common horizon.
+
+    Exact: every inner segment, clipped to the horizon, must lie within one
+    maximal interval of the union of outer segments on the same line.  A
+    segment born exactly at the horizon is a single point, which must lie on
+    some outer segment.  Inner events need no check of their own: each one
+    closes at least two inner segments of positive length."""
     bounds = [h for h in (inner.horizon, outer.horizon) if h is not None]
     cap = min(bounds) if bounds else None
-    index = _SupportIndex(outer)
-
-    def within(t: Scalar) -> bool:
-        return cap is None or t <= cap
-
-    for e in inner.events:
-        if within(e.time) and not index.covers_point(e.position, e.time):
-            return False
-
-    zero = inner.machine.ctx.zero()
-    times = {zero} | {e.time for e in inner.events if within(e.time)}
-    # catch diverging final rays: sample at the horizon, or twice past the
-    # last event when both runs are unbounded (two samples pin a straight ray)
-    if cap is not None:
-        if inner.covers(cap):
-            times.add(cap)
-    else:
-        last = inner.events[-1].time if inner.events else zero
-        times.add(last + 1)
-        times.add(last + 3)
-    times = sorted(times)
-    sp = inner.machine.speed_of
-    segs = sorted(inner.segments, key=lambda s: s.birth_time)
-    open_segs: list = []
-    heap: list[tuple[Scalar, int, object]] = []
-    i = 0
-    for t in times:
-        while i < len(segs) and segs[i].birth_time <= t:
-            seg = segs[i]
-            if seg.death_time is None:
-                open_segs.append(seg)
-            else:
-                heapq.heappush(heap, (seg.death_time, i, seg))
-            i += 1
-        while heap and heap[0][0] < t:
-            heapq.heappop(heap)
-        for _, _, seg in heap:
-            if seg.birth_time <= t and not index.covers_point(
-                seg.position_at(t, sp(seg.signal)), t
-            ):
+    outer_lines = {
+        line: _union(spans) for line, spans in _spans_by_line(outer, cap).items()
+    }
+    at_cap: Optional[set[Scalar]] = None  # outer positions at t = cap
+    for (v, c), spans in _spans_by_line(inner, cap).items():
+        union = outer_lines.get((v, c), [])
+        starts = [lo for lo, _ in union]
+        for lo, hi in spans:
+            if lo == hi:  # born at cap: a single point
+                if at_cap is None:
+                    at_cap = {
+                        oc + ov * cap
+                        for (ov, oc), merged in outer_lines.items()
+                        if merged[-1][1] == cap
+                    }
+                if c + v * cap not in at_cap:
+                    return False
+                continue
+            i = bisect_right(starts, lo) - 1
+            if i < 0:
                 return False
-        for seg in open_segs:
-            if seg.birth_time <= t and not index.covers_point(
-                seg.position_at(t, sp(seg.signal)), t
-            ):
+            if _before(union[i][1], hi):
                 return False
     return True
 

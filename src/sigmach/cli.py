@@ -105,15 +105,14 @@ def _operand_field(*texts: str) -> FieldContext:
 def _cmd_run(args) -> int:
     try:
         (machine, config), arith = _load_system(args)
+        max_time = machine.ctx.parse(args.max_time) if args.max_time else None
+        limits = RunLimits(max_events=args.max_events, max_time=max_time)
     except MachineParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-    max_time = machine.ctx.parse(args.max_time) if args.max_time else None
-    limits = RunLimits(max_events=args.max_events, max_time=max_time)
 
     certifier = None
     if args.detect_accumulation:
@@ -176,7 +175,11 @@ def _cmd_verify(args) -> int:
         if args.count is not None:
             kwargs["count"] = args.count
         if args.suite == "mesh" and args.horizon is not None:
-            kwargs["horizon"] = FieldContext(0).parse(args.horizon)
+            try:
+                kwargs["horizon"] = FieldContext(0).parse(args.horizon)
+            except ValueError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return 1
         results = suite(**kwargs)
     failures = 0
     for r in results:

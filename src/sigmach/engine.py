@@ -74,6 +74,8 @@ class RunLimits:
     def __post_init__(self) -> None:
         if self.max_events < 0:
             raise ValueError("max_events must be >= 0")
+        if self.max_time is not None and self.max_time < 0:
+            raise ValueError("max_time must be >= 0")
 
 
 class MissingRuleError(RuntimeError):
@@ -142,13 +144,6 @@ class SpaceTimeDiagram:
         if self.halt_reason == MISSING_RULE:
             return t < h
         return t <= h
-
-    def event_times(self) -> list[Scalar]:
-        out: list[Scalar] = []
-        for e in self.events:
-            if not out or out[-1] != e.time:
-                out.append(e.time)
-        return out
 
     def __repr__(self) -> str:
         return f"SpaceTimeDiagram({len(self.events)} events, halt={self.halt_reason})"
@@ -371,17 +366,13 @@ def configuration_at(diagram: SpaceTimeDiagram, t: Scalar) -> RunState:
     if not diagram.covers(t):
         raise ValueError(f"time {t} is beyond the recorded horizon")
     snaps = diagram.snapshots
-    times = [s.time for s in snaps]
-    i = bisect.bisect_right(times, t) - 1
+    i = bisect.bisect_right(snaps, t, key=lambda s: s.time) - 1
     if i < 0:
         raise ValueError(f"time {t} precedes the initial configuration")
     base = snaps[i]
     if base.time == t:
         return base
-    delta = t - base.time
-    sp = diagram.machine.speed_of
-    sites: list[Site] = []
-    for x, sigs in base.sites:  # strictly before the next event: no co-location
-        for ms in sorted(sigs, key=sp):
-            sites.append((x + sp(ms) * delta, frozenset((ms,))))
-    return RunState(t, tuple(sites), base.event_count)
+    # strictly before the next event, so the drift resolves no collision
+    runner = _Runner(diagram.machine, base.sites, base.time, base.event_count)
+    runner.drift_all(t - base.time)
+    return runner.state()

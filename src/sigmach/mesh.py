@@ -29,6 +29,7 @@ from .model import (
     SignalMachine,
     normalize_speeds,
     support_configuration,
+    support_machine,
 )
 from .scalars import (
     FieldContext,
@@ -106,17 +107,9 @@ def support_machine_nu(p: int, q: int, ctx: FieldContext | None = None) -> Signa
     p, q = int(p), int(q)
     g = math.gcd(p, q)
     nu = Fraction(p // g, q // g)
-    machine = SignalMachine.build(
-        [(LEFT, -1), (STILL, 0), (RIGHT, nu)],
-        [
-            ((LEFT, STILL), (LEFT, STILL, RIGHT)),
-            ((LEFT, RIGHT), (LEFT, STILL, RIGHT)),
-            ((STILL, RIGHT), (LEFT, STILL, RIGHT)),
-            ((LEFT, STILL, RIGHT), (LEFT, STILL, RIGHT)),
-        ],
-        ctx=ctx,
-    )
-    return machine
+    return support_machine(
+        SignalMachine.build([(LEFT, -1), (STILL, 0), (RIGHT, nu)], ctx=ctx)
+    )[0]
 
 
 def strip_configuration(

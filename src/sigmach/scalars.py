@@ -236,9 +236,6 @@ class Scalar:
             return sa
         return sa * _sgn(self.a * self.a - self.b * self.b * self.d)
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, numbers.Rational):
             return self.b == 0 and self.a == other

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .analysis import detect_contraction, two_speed_bound_check
 from .engine import (
@@ -43,10 +43,6 @@ class CaseResult:
     index: int
     ok: bool
     detail: str = ""
-
-
-def all_ok(results: Sequence[CaseResult]) -> bool:
-    return all(r.ok for r in results)
 
 
 # -- brute-force scheduler oracle -------------------------------------------------

@@ -208,6 +208,53 @@ class TestDiagramInclusion:
         assert not diagram_included(d2, d1)
 
 
+    def test_gap_between_samples_is_caught(self):
+        # the outer r on the inner r's line is annihilated at (9/10, 9/10)
+        # and re-emitted at (11/10, 11/10): no event time falls in the gap
+        from sigmach.model import SignalMachine
+
+        outer_m = SignalMachine.build(
+            [("r", 1), ("w1", 0), ("w2", 0), ("s", 0), ("z", -1)],
+            [
+                (("r", "w1"), ()),
+                (("z", "w2"), ("r",)),
+                (("z", "s"), ("z", "s")),
+                (("r", "s"), ("s",)),
+            ],
+        )
+        inner_m = SignalMachine.build([("r", 1), ("s", 0)], [(("r", "s"), ("s",))])
+        outer = run(
+            outer_m,
+            InitialConfiguration.build(
+                outer_m,
+                [
+                    ("r", 0),
+                    ("w1", Fraction(9, 10)),
+                    ("w2", Fraction(11, 10)),
+                    ("s", 2),
+                    ("z", Fraction(11, 5)),
+                ],
+            ),
+        )
+        inner = run(inner_m, InitialConfiguration.build(inner_m, [("r", 0), ("s", 2)]))
+        assert [(e.position, e.time) for e in inner.events] == [(2, 2)]
+        assert (2, 2) in [(e.position, e.time) for e in outer.events]
+        assert not diagram_included(inner, outer)
+        assert diagram_included(inner, inner)
+
+    def test_horizon_zero_checks_single_points(self):
+        machine, config = build_sm4()
+        limits = RunLimits(max_time=Q.zero())
+        d1 = run(machine, config, limits)
+        shifted = InitialConfiguration.build(
+            machine, [("left", 9), ("zig", 9), ("right", 11)]
+        )
+        d2 = run(machine, shifted, limits)
+        assert d1.horizon == Q.zero() and d1.events == []
+        assert diagram_included(d1, d1)
+        assert not diagram_included(d1, d2)
+
+
 class TestCausalCone:
     def test_accumulation_apex_swallows_every_event(self, sm4_diagram):
         cone = CausalCone.from_machine(

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sigmach
 from sigmach.cli import main
 from sigmach.svg import RenderOptions, render_diagram
@@ -60,6 +62,21 @@ class TestRunCommand:
         argv = ["run", "--preset", "gcd", "--a", "1*sqrt(3)", "--b=-1+1*sqrt(2)"]
         assert main(argv) == 1
         assert "sqrt(2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            ["--max-time", "-1"],
+            ["--max-time", "abc"],
+            ["--max-events", "-1"],
+            ["--max-time", "1+1*sqrt(2)"],
+        ],
+    )
+    def test_bad_run_limits_exit_1(self, limit, capsys):
+        assert main(["run", "--preset", "sm4", *limit]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "halt:" not in captured.out
 
     def test_missing_rule_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.machine"
@@ -144,6 +161,10 @@ class TestVerifyCommand:
     def test_mesh_suite_passes(self, capsys):
         assert main(["verify", "mesh", "--seed", "2", "--count", "3"]) == 0
         assert "3/3 passed" in capsys.readouterr().out
+
+    def test_bad_horizon_exits_1(self, capsys):
+        assert main(["verify", "mesh", "--horizon", "abc"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_exhaustive_two_speed(self, capsys):
         assert main(["verify", "2speed-exhaustive"]) == 0

@@ -159,6 +159,8 @@ class TestRun:
         assert diagram.final_state.time == Q.zero()
         with pytest.raises(ValueError):
             RunLimits(max_events=-1)
+        with pytest.raises(ValueError):
+            RunLimits(max_time=Q.scalar(-1))
 
     def test_time_budget_drifts_to_the_boundary(self):
         machine, config = build_sm4()
