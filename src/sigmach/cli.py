@@ -176,7 +176,10 @@ def _cmd_verify(args) -> int:
             kwargs["count"] = args.count
         if args.suite == "mesh" and args.horizon is not None:
             try:
-                kwargs["horizon"] = FieldContext(0).parse(args.horizon)
+                horizon = FieldContext(0).parse(args.horizon)
+                if horizon < 0:
+                    raise ValueError("horizon must be >= 0")
+                kwargs["horizon"] = horizon
             except ValueError as e:
                 print(f"error: {e}", file=sys.stderr)
                 return 1

@@ -139,8 +139,18 @@ def format_scalar(x: Scalar) -> str:
     return f"{x.a}{sign}{abs(x.b)}*sqrt({x.d})"
 
 
-def _sgn(f) -> int:
-    return (f > 0) - (f < 0)
+def _sign_parts(an: int, ad: int, bn: int, bd: int, d: int) -> int:
+    """Exact sign of an/ad + (bn/bd)*sqrt(d) for positive ad and bd, decided
+    on integers: when the parts differ in sign, compare an^2*bd^2 with
+    bn^2*ad^2*d."""
+    sa = (an > 0) - (an < 0)
+    sb = (bn > 0) - (bn < 0)
+    if not sb:
+        return sa
+    if not sa or sa == sb:
+        return sb
+    t = an * an * bd * bd - bn * bn * ad * ad * d
+    return sa * ((t > 0) - (t < 0))
 
 
 class Scalar:
@@ -148,37 +158,45 @@ class Scalar:
 
     Pure rationals (b = 0, d = 0) coerce silently into any extension, so a
     rational time can offset a Q(sqrt(5)) position; two genuinely irrational
-    scalars from different extensions refuse to mix.
+    scalars from different extensions refuse to mix.  When both operands are
+    rational (b = 0) an operation costs one ``Fraction`` operation, and order
+    is decided on integer numerators and denominators without allocating.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d: int) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        _SET_A(self, a)
+        _SET_B(self, b)
+        _SET_D(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
     # -- coercion ---------------------------------------------------------
 
+    def _field(self, other: Scalar) -> int:
+        """The d of a result combining self with the scalar other."""
+        if other.d == self.d or not other.b:
+            return self.d
+        if not self.b:
+            return other.d
+        raise FieldError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
+
     def _pair(self, other: ScalarLike) -> tuple[Scalar, int]:
+        if type(other) is Scalar and other.d == self.d:
+            return other, self.d
         if isinstance(other, numbers.Rational):
             return Scalar(Fraction(other), _ZERO, self.d), self.d
         if not isinstance(other, Scalar):
             return NotImplemented, 0
-        if other.d == self.d:
-            return other, self.d
-        if other.b == 0:
-            return Scalar(other.a, _ZERO, self.d), self.d
-        if self.b == 0:
-            return other, other.d
-        raise FieldError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
+        return other, self._field(other)
 
     # -- field operations -------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> Scalar:
+        if type(other) is Scalar and not self.b and not other.b:
+            return Scalar(self.a + other.a, _ZERO, self.d)
         o, d = self._pair(other)
         if o is NotImplemented:
             return NotImplemented
@@ -187,6 +205,8 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> Scalar:
+        if type(other) is Scalar and not self.b and not other.b:
+            return Scalar(self.a - other.a, _ZERO, self.d)
         o, d = self._pair(other)
         if o is NotImplemented:
             return NotImplemented
@@ -196,9 +216,12 @@ class Scalar:
         return (-self) + other
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.a, -self.b, self.d)
+        b = self.b
+        return Scalar(-self.a, -b if b else _ZERO, self.d)
 
     def __mul__(self, other: ScalarLike) -> Scalar:
+        if type(other) is Scalar and not self.b and not other.b:
+            return Scalar(self.a * other.a, _ZERO, self.d)
         o, d = self._pair(other)
         if o is NotImplemented:
             return NotImplemented
@@ -207,6 +230,11 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> Scalar:
+        if type(other) is Scalar and not self.b and not other.b:
+            try:
+                return Scalar(self.a / other.a, _ZERO, self.d)
+            except ZeroDivisionError:
+                raise ZeroDivisionError("scalar division by zero") from None
         o, d = self._pair(other)
         if o is NotImplemented:
             return NotImplemented
@@ -226,35 +254,43 @@ class Scalar:
     # -- order ------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, decided by comparing a*a and b*b*d."""
-        sa, sb = _sgn(self.a), _sgn(self.b)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        return sa * _sgn(self.a * self.a - self.b * self.b * self.d)
+        """Exact sign in {-1, 0, +1}, decided on integers (see _sign_parts)."""
+        a, b = self.a, self.b
+        return _sign_parts(a.numerator, a.denominator, b.numerator, b.denominator, self.d)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, numbers.Rational):
-            return self.b == 0 and self.a == other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        if self.b == 0 and other.b == 0:
+        if type(other) is not Scalar:
+            if isinstance(other, numbers.Rational):
+                return not self.b and self.a == other
+            if not isinstance(other, Scalar):
+                return NotImplemented
+        if not self.b and not other.b:
             return self.a == other.a
         return self.d == other.d and self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if not self.b:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def _cmp(self, other: ScalarLike) -> int:
-        diff = self - other
-        if diff is NotImplemented:
+        """Sign of self - other, computed on integers without allocating."""
+        a, b = self.a, self.b
+        if type(other) is Scalar:
+            oa, ob = other.a, other.b
+            if not b and not ob:
+                x, y = a.numerator * oa.denominator, oa.numerator * a.denominator
+                return (x > y) - (x < y)
+            d = self._field(other)
+        elif isinstance(other, numbers.Rational):
+            oa, ob, d = other, _ZERO, self.d
+        else:
             return NotImplemented
-        return diff.sign()
+        ad, oad, bd, obd = a.denominator, oa.denominator, b.denominator, ob.denominator
+        return _sign_parts(
+            a.numerator * oad - oa.numerator * ad, ad * oad,
+            b.numerator * obd - ob.numerator * bd, bd * obd, d,
+        )
 
     def __lt__(self, other: ScalarLike) -> bool:
         return self._cmp(other) < 0
@@ -301,6 +337,10 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({format_scalar(self)})"
+
+
+# The slot setters: __init__ writes through them, past the immutability guard.
+_SET_A, _SET_B, _SET_D = Scalar.a.__set__, Scalar.b.__set__, Scalar.d.__set__
 
 
 def as_scalar(value: ScalarLike, ctx: FieldContext) -> Scalar:

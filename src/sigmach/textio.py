@@ -17,7 +17,7 @@ import re
 
 from .engine import SpaceTimeDiagram
 from .model import InitialConfiguration, MachineError, SignalMachine
-from .scalars import FieldContext, format_scalar
+from .scalars import FieldContext, Scalar, format_scalar
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 
@@ -34,9 +34,9 @@ def parse_machine_file(text: str) -> tuple[SignalMachine, InitialConfiguration]:
     ctx = FieldContext(0)
     field_set = False
     speeds: list[tuple[str, str]] = []
+    speed_of: dict[str, Scalar] = {}
     rules: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     inits: list[tuple[str, str]] = []
-    names: set[str] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -61,13 +61,12 @@ def parse_machine_file(text: str) -> tuple[SignalMachine, InitialConfiguration]:
             name, speed_txt = parts
             if not _NAME.match(name):
                 raise MachineParseError(line_no, f"bad meta-signal name {name!r}")
-            if name in names:
+            if name in speed_of:
                 raise MachineParseError(line_no, f"duplicate meta-signal {name!r}")
             try:
-                ctx.parse(speed_txt)
+                speed_of[name] = ctx.parse(speed_txt)
             except ValueError as e:
                 raise MachineParseError(line_no, f"bad speed for {name!r}: {e}")
-            names.add(name)
             speeds.append((name, speed_txt))
         elif head == "rule":
             if "->" not in rest:
@@ -78,8 +77,13 @@ def parse_machine_file(text: str) -> tuple[SignalMachine, InitialConfiguration]:
             if len(ins) < 2:
                 raise MachineParseError(line_no, "rule needs at least two incoming signals")
             for n in ins + outs:
-                if n not in names:
+                if n not in speed_of:
                     raise MachineParseError(line_no, f"unknown meta-signal {n!r}")
+            for side, group in (("input", ins), ("output", outs)):
+                if len({speed_of[n] for n in group}) < len(group):
+                    raise MachineParseError(
+                        line_no, f"{side} speeds not distinct in {','.join(group)}"
+                    )
             if any(frozenset(ins) == frozenset(i) for i, _ in rules):
                 raise MachineParseError(line_no, f"duplicate rule for {sorted(set(ins))}")
             rules.append((ins, outs))
@@ -88,7 +92,7 @@ def parse_machine_file(text: str) -> tuple[SignalMachine, InitialConfiguration]:
             if not m:
                 raise MachineParseError(line_no, "expected 'init <name>@<position>'")
             name, pos_txt = m.group(1), m.group(2)
-            if name not in names:
+            if name not in speed_of:
                 raise MachineParseError(line_no, f"unknown meta-signal {name!r}")
             try:
                 ctx.parse(pos_txt)

@@ -52,6 +52,14 @@ class TestRunCommand:
         )
         assert "ACCUMULATION center=0" in capsys.readouterr().out
 
+    def test_equal_speed_rule_is_a_parse_error(self, capsys, tmp_path):
+        f = tmp_path / "bad.machine"
+        f.write_text("signal a 1\nsignal b 1\nsignal c 0\nrule a,c -> a,b\ninit a@0\ninit c@1\n")
+        assert main(["run", "--file", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 4: output speeds not distinct in a,b\n"
+
     def test_irrational_operand_accumulates(self, capsys):
         argv = ["run", "--preset", "gcd", "--a", "1", "--b=-1+1*sqrt(2)"]
         assert main(argv + ["--max-events", "60", "--detect-accumulation"]) == 0
@@ -165,6 +173,12 @@ class TestVerifyCommand:
     def test_bad_horizon_exits_1(self, capsys):
         assert main(["verify", "mesh", "--horizon", "abc"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_horizon_exits_1_before_any_case(self, capsys):
+        assert main(["verify", "mesh", "--horizon", "-1", "--count", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: horizon must be >= 0\n"
 
     def test_exhaustive_two_speed(self, capsys):
         assert main(["verify", "2speed-exhaustive"]) == 0

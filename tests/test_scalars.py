@@ -316,3 +316,123 @@ def test_subtraction_and_order_agree(x, y):
 def test_floor_brackets_value(x):
     n = x.floor()
     assert Q5.scalar(n) <= x and x < n + 1
+
+
+# -- the rational fast path against the plain quadratic-field formulas --------
+#
+# Each reference below is computed on the (a, b) Fractions alone, with the
+# textbook formulas for Q(sqrt(d)); the scalar under test may take its
+# one-Fraction path (both operands rational) or the general one.
+
+small_rationals = st.fractions(max_denominator=50).filter(lambda f: abs(f) < 10**4)
+big_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**3000), max_value=2**3000),
+    st.integers(min_value=2**2990, max_value=2**3000),
+)
+any_rationals = st.one_of(small_rationals, big_rationals)
+q_scalars = st.builds(Q.scalar, any_rationals)
+q5_rational_scalars = st.builds(Q5.scalar, any_rationals)
+q5_irrational_scalars = st.builds(
+    Q5.scalar, any_rationals, any_rationals.filter(lambda f: f != 0)
+)
+mixed_scalars = st.one_of(q_scalars, q5_rational_scalars, q5_irrational_scalars)
+
+
+def _ref_sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b*sqrt(d): the parts' common sign, else the sign of the
+    part with the larger square."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    lhs, rhs = a * a, b * b * d
+    return sa if lhs > rhs else (-sa if lhs < rhs else 0)
+
+
+def _ref_d(x, y) -> int:
+    """Field of x op y: the left operand's, unless only y is irrational."""
+    return y.d if x.b == 0 and y.b != 0 else x.d
+
+
+def _same(got, a: Fraction, b: Fraction, d: int) -> None:
+    assert (got.a, got.b, got.d) == (a, b, d)
+    assert type(got.a) is Fraction and type(got.b) is Fraction
+
+
+@given(st.one_of(st.tuples(q_scalars, q_scalars), st.tuples(q5_rational_scalars, q5_rational_scalars),
+                 st.tuples(q5_irrational_scalars, mixed_scalars), st.tuples(mixed_scalars, mixed_scalars)))
+@settings(max_examples=200)
+def test_field_operations_match_formulas(pair):
+    x, y = pair
+    d = _ref_d(x, y)
+    _same(x + y, x.a + y.a, x.b + y.b, d)
+    _same(x - y, x.a - y.a, x.b - y.b, d)
+    _same(x * y, x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
+    norm = y.a * y.a - y.b * y.b * d
+    if norm == 0:
+        with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+            x / y
+    else:
+        _same(x / y, (x.a * y.a - x.b * y.b * d) / norm, (x.b * y.a - x.a * y.b) / norm, d)
+    _same(-x, -x.a, -x.b, x.d)
+
+
+@given(st.one_of(st.tuples(q_scalars, q_scalars), st.tuples(q5_rational_scalars, q_scalars),
+                 st.tuples(q5_irrational_scalars, q5_irrational_scalars),
+                 st.tuples(mixed_scalars, mixed_scalars)))
+@settings(max_examples=200)
+def test_order_equality_and_hash_match_formulas(pair):
+    x, y = pair
+    d = max(x.d, y.d)
+    s = _ref_sign(x.a - y.a, x.b - y.b, d)
+    assert ((x < y), (x <= y), (x > y), (x >= y)) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (x == y) == (s == 0) == (x.a == y.a and x.b == y.b)
+    assert x.sign() == _ref_sign(x.a, x.b, x.d)
+    assert hash(x) == (hash(x.a) if x.b == 0 else hash((x.a, x.b, x.d)))
+    if s == 0:
+        assert hash(x) == hash(y)
+
+
+@given(mixed_scalars, any_rationals)
+@settings(max_examples=150)
+def test_plain_rational_operands(x, f):
+    _same(x + f, x.a + f, x.b, x.d)
+    _same(f - x, f - x.a, -x.b, x.d)
+    _same(x * f, x.a * f, x.b * f, x.d)
+    s = _ref_sign(x.a - f, x.b, x.d)
+    assert ((x < f), (x <= f), (x > f), (x >= f)) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (x == f) == (s == 0)
+
+
+def test_rational_fast_path_keeps_the_left_field():
+    q, q5, phi = Q.scalar(Fraction(3, 2)), Q5.scalar(Fraction(1, 3)), PHI
+    for x, y, d in [(q, q5, 0), (q5, q, 5), (q, phi, 5), (phi, q, 5), (q5, phi, 5)]:
+        for result in (x + y, x - y, x * y, x / y):
+            assert result.d == d
+    assert (-q).d == 0 and (-q5).d == 5
+
+
+def test_rational_scalars_agree_with_python_numbers():
+    assert Q.scalar(3) == 3
+    assert 3 == Q.scalar(3)
+    assert Q5.scalar(3) == Fraction(3)
+    assert hash(Q.scalar(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert hash(Q5.scalar(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert Q.scalar(Fraction(1, 3)) != PHI
+
+
+@pytest.mark.parametrize("zero", [Q.zero(), Q5.zero(), Q.scalar(0) - Q.scalar(0)])
+def test_division_by_a_rational_zero(zero):
+    for x in (Q.scalar(Fraction(7, 3)), Q5.scalar(2), PHI):
+        with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+            x / zero
+    with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+        1 / zero
+
+
+def test_mixed_radicals_refuse_to_compare():
+    with pytest.raises(FieldError):
+        FieldContext(2).scalar(0, 1) < PHI
+    assert FieldContext(2).scalar(1) < PHI

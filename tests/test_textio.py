@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from sigmach.engine import QUIESCENT, RunLimits, run
+from sigmach.model import validate
 from sigmach.presets import build_sm4, read_encoded_value
 from sigmach.scalars import FieldContext
 from sigmach.textio import (
@@ -103,18 +104,36 @@ class TestParseErrors:
         with pytest.raises(MachineParseError):
             parse_machine_file("speed a 1\n")
 
+    def test_equal_input_speeds(self):
+        text = "signal a 1\nsignal b 1\nsignal c 0\nrule a,b -> c\n"
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file(text)
+        assert err.value.line_no == 4
+        assert err.value.reason == "input speeds not distinct in a,b"
+
+    def test_equal_output_speeds(self):
+        text = "signal a 1\nsignal c 0\nsignal b 1\n\nrule a,c -> a,b\n"
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file(text)
+        assert err.value.line_no == 5
+        assert err.value.reason == "output speeds not distinct in a,b"
+
+    def test_equal_speeds_in_a_quadratic_field(self):
+        text = "field sqrt 5\nsignal a 1+1*sqrt(5)\nsignal b 2/2+2/2*sqrt(5)\nsignal c 0\nrule a,c -> a,b\n"
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file(text)
+        assert err.value.line_no == 5
+
     def test_colocated_same_speed(self):
         with pytest.raises(MachineParseError):
             parse_machine_file("signal a 1\nsignal b 1\ninit a@0\ninit b@0\n")
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "name", ["sm4", "sub", "mod", "gcd", "gcd_phi"]
-    )
-    def test_serialize_parse_round_trip(self, name):
-        text = (MACHINES / f"{name}.machine").read_text()
-        machine, config = parse_machine_file(text)
+    @pytest.mark.parametrize("path", sorted(MACHINES.glob("*.machine")), ids=lambda p: p.stem)
+    def test_serialize_parse_round_trip(self, path):
+        machine, config = parse_machine_file(path.read_text())
+        assert validate(machine) == []
         machine2, config2 = parse_machine_file(serialize_machine(machine, config))
         assert {m.name for m in machine2.signals} == {m.name for m in machine.signals}
         assert [
