@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .engine import (
     QUIESCENT,
@@ -23,7 +23,7 @@ from .engine import (
     configuration_at,
     run,
 )
-from .model import InitialConfiguration, MachineError, SignalMachine
+from .model import InitialConfiguration, MachineError, MetaSignal, SignalMachine
 from .scalars import Scalar
 
 
@@ -155,143 +155,7 @@ def contraction_replay_matches(
     return expected == got
 
 
-# -- periodicity -----------------------------------------------------------------
-
-
-def detect_periodicity(
-    diagram: SpaceTimeDiagram,
-    window: tuple[Scalar, Scalar],
-    horizon: Optional[Scalar] = None,
-) -> Optional[PeriodicityCertificate]:
-    """Least (transient, period) making the windowed configuration exactly
-    periodic up to the horizon, verified at every event boundary, boundary
-    crossing and interval midpoint.
-
-    The transient is the least time from which the right-continuous windowed
-    configuration repeats; collision instants must repeat as well (position
-    and rule).  Requires the diagram to cover the horizon; a quiescent tail
-    that stays constant counts as periodic with a nominal period.
-    """
-    lo, hi = window
-    if horizon is None:
-        horizon = diagram.horizon
-    if horizon is None:
-        raise ValueError("horizon required: diagram is unbounded")
-    if not diagram.covers(horizon):
-        raise ValueError("diagram does not cover the requested horizon")
-
-    sig_at: dict[Scalar, frozenset] = {}
-    for e in diagram.events:
-        if e.time <= horizon and lo <= e.position <= hi:
-            cur = sig_at.get(e.time, frozenset())
-            sig_at[e.time] = cur | {(e.position, e.incoming, e.outgoing)}
-    we_times = sorted(sig_at)
-
-    checkpoints = _checkpoints(diagram, lo, hi, horizon)
-    keys: dict[Scalar, tuple] = {}
-
-    def key(t: Scalar) -> tuple:
-        k = keys.get(t)
-        if k is None:
-            state = configuration_at(diagram, t)
-            k = tuple((p, sigs) for p, sigs in state.sites if lo <= p <= hi)
-            keys[t] = k
-        return k
-
-    def verify(t_start: Scalar, period: Scalar) -> bool:
-        end = horizon - period
-        for t in we_times:  # collision alignment, both directions
-            if t_start <= t <= end and sig_at.get(t) != sig_at.get(t + period):
-                return False
-            if t_start + period <= t <= horizon and sig_at.get(t) != sig_at.get(
-                t - period
-            ):
-                return False
-        pts = {t_start, end}
-        for c in checkpoints:
-            if t_start <= c <= end:
-                pts.add(c)
-            if t_start <= c - period <= end:
-                pts.add(c - period)
-        ordered = sorted(pts)
-        for t in ordered:
-            if key(t) != key(t + period):
-                return False
-        for a, b in zip(ordered, ordered[1:]):  # midpoints pin the linear parts
-            mid = (a + b) / 2
-            if key(mid) != key(mid + period):
-                return False
-        return True
-
-    for t_start in checkpoints:
-        if t_start > horizon:
-            break
-        nxt = bisect_left(we_times, t_start)
-        if nxt == len(we_times) or we_times[-1] <= t_start:
-            period = _constant_tail(key, checkpoints, t_start, horizon)
-            if period is not None:
-                return PeriodicityCertificate((lo, hi), t_start, period)
-            continue
-        first = we_times[nxt]
-        for partner in we_times[bisect_right(we_times, first) :]:
-            period = partner - first
-            if 3 * period > horizon - t_start:
-                break
-            if first + period <= horizon and sig_at.get(first) != sig_at.get(
-                first + period
-            ):
-                continue
-            if key(t_start) != key(t_start + period):
-                continue
-            if verify(t_start, period):
-                return PeriodicityCertificate((lo, hi), t_start, period)
-    return None
-
-
-def _checkpoints(
-    diagram: SpaceTimeDiagram, lo: Scalar, hi: Scalar, horizon: Scalar
-) -> list[Scalar]:
-    zero = diagram.machine.ctx.zero()
-    pts = {zero}
-    for s in diagram.snapshots:
-        if s.time <= horizon:
-            pts.add(s.time)
-    sp = diagram.machine.speed_of
-    for seg in diagram.segments:  # window boundary crossings
-        v = sp(seg.signal)
-        if v.sign() == 0:
-            continue
-        for edge in (lo, hi):
-            t = seg.birth_time + (edge - seg.birth_position) / v
-            if t < seg.birth_time or t > horizon:
-                continue
-            if seg.death_time is not None and t > seg.death_time:
-                continue
-            pts.add(t)
-    return sorted(pts)
-
-
-def _constant_tail(key, checkpoints, t_start, horizon) -> Optional[Scalar]:
-    """Eventually-constant window: periodic with any period; report a nominal
-    one spanning a third of the remaining horizon.  Constancy is probed on
-    the open interval (t_start, horizon]: the reported transient is the
-    infimum, e.g. the instant the last mover exits the window."""
-    span = horizon - t_start
-    if span.sign() <= 0:
-        return None
-    probes = sorted(
-        {t_start, horizon} | {c for c in checkpoints if t_start <= c <= horizon}
-    )
-    ref = key((probes[0] + probes[1]) / 2) if len(probes) > 1 else None
-    if ref is None:
-        return None
-    for a, b in zip(probes, probes[1:]):
-        if key(b) != ref or key((a + b) / 2) != ref:
-            return None
-    return span / 3
-
-
-# -- diagram inclusion ------------------------------------------------------------
+# -- spans on lines ----------------------------------------------------------------
 
 
 # A span is a closed time interval (lo, hi) on one line; hi None is +infinity.
@@ -303,13 +167,12 @@ def _before(a: Optional[Scalar], b: Optional[Scalar]) -> bool:
     return a is not None and (b is None or a < b)
 
 
-def _spans_by_line(
+def _clipped_segments(
     diagram: SpaceTimeDiagram, cap: Optional[Scalar]
-) -> dict[tuple[Scalar, Scalar], list[_Span]]:
-    """Each segment's span [birth, min(death, cap)], keyed by its line
-    (speed, x - speed*t); segments born after cap are dropped."""
+) -> Iterator[tuple[MetaSignal, Scalar, Scalar, Scalar, Optional[Scalar]]]:
+    """Each segment as (signal, speed, x - speed*t, birth, min(death, cap));
+    segments born after cap are dropped."""
     sp = diagram.machine.speed_of
-    lines: dict[tuple[Scalar, Scalar], list[_Span]] = {}
     for seg in diagram.segments:
         hi = seg.death_time
         if _before(cap, hi):
@@ -317,9 +180,7 @@ def _spans_by_line(
                 continue
             hi = cap
         v = sp(seg.signal)
-        line = (v, seg.birth_position - v * seg.birth_time)
-        lines.setdefault(line, []).append((seg.birth_time, hi))
-    return lines
+        yield seg.signal, v, seg.birth_position - v * seg.birth_time, seg.birth_time, hi
 
 
 def _union(spans: list[_Span]) -> list[_Span]:
@@ -332,6 +193,124 @@ def _union(spans: list[_Span]) -> list[_Span]:
         else:
             merged.append((lo, hi))
     return merged
+
+
+# -- periodicity -----------------------------------------------------------------
+
+
+def detect_periodicity(
+    diagram: SpaceTimeDiagram,
+    window: tuple[Scalar, Scalar],
+    horizon: Optional[Scalar] = None,
+) -> Optional[PeriodicityCertificate]:
+    """Least (transient, period) making the windowed diagram exactly periodic
+    up to the horizon, decided on segments.
+
+    Segments are clipped to the window and to [0, horizon], and the pieces
+    merged per (signal, speed, x - speed*t).  Period P holds from T when the
+    pieces over [T, horizon - P], moved P later, equal those over
+    [T + P, horizon], and the window's collisions (position and rule) repeat
+    both ways; the latter also pins each collision instant, where closed
+    pieces still hold the incoming signals.  The transient is the least time
+    from which the right-continuous windowed configuration repeats.  Requires
+    the diagram to cover the horizon.  A quiescent tail (no collision in the
+    window and no moving signal in it after T) counts as periodic with a
+    nominal period of a third of the remaining horizon.
+    """
+    lo, hi = window
+    if horizon is None:
+        horizon = diagram.horizon
+    if horizon is None:
+        raise ValueError("horizon required: diagram is unbounded")
+    if not diagram.covers(horizon):
+        raise ValueError("diagram does not cover the requested horizon")
+
+    zero = diagram.machine.ctx.zero()
+    sig_at: dict[Scalar, frozenset] = {}
+    candidates = {zero}
+    for e in diagram.events:
+        if e.time <= horizon:
+            candidates.add(e.time)
+            if lo <= e.position <= hi:
+                cur = sig_at.get(e.time, frozenset())
+                sig_at[e.time] = cur | {(e.position, e.incoming, e.outgoing)}
+    we_times = sorted(sig_at)
+
+    pieces: dict[tuple[MetaSignal, Scalar, Scalar], list[_Span]] = {}
+    last_move = zero  # latest time a mover is in the window
+    for ms, v, c, start, stop in _clipped_segments(diagram, horizon):
+        if v.sign() == 0:
+            if not lo <= c <= hi:
+                continue
+        else:
+            enter, leave = (lo - c) / v, (hi - c) / v
+            if v.sign() < 0:
+                enter, leave = leave, enter
+            start, stop = max(start, enter), min(stop, leave)
+            if stop < start:
+                continue
+            last_move = max(last_move, stop)
+        candidates.update((start, stop))
+        pieces.setdefault((ms, v, c), []).append((start, stop))
+    lines = {key: _union(spans) for key, spans in pieces.items()}
+
+    def restricted(t0: Scalar, t1: Scalar, shift: Scalar) -> dict:
+        """Each line's pieces within [t0, t1], moved `shift` later in time."""
+        out = {}
+        for (ms, v, c), union in lines.items():
+            part = [
+                (max(a, t0) + shift, min(b, t1) + shift)
+                for a, b in union
+                if a <= t1 and t0 <= b
+            ]
+            if part:
+                out[(ms, v, c - v * shift)] = part
+        return out
+
+    def verify(t_start: Scalar, period: Scalar) -> bool:
+        end = horizon - period
+        for t in we_times:  # collision alignment, both directions
+            if t_start <= t <= end and sig_at.get(t) != sig_at.get(t + period):
+                return False
+            if t_start + period <= t <= horizon and sig_at.get(t) != sig_at.get(
+                t - period
+            ):
+                return False
+        return restricted(t_start, end, period) == restricted(
+            t_start + period, horizon, zero
+        )
+
+    for t_start in sorted(candidates):
+        if not we_times or we_times[-1] <= t_start:  # no later collision
+            if t_start < horizon and last_move <= t_start:
+                period = (horizon - t_start) / 3
+                return PeriodicityCertificate((lo, hi), t_start, period)
+            continue
+        first = we_times[bisect_left(we_times, t_start)]
+        for partner in we_times[bisect_right(we_times, first) :]:
+            period = partner - first
+            if 3 * period > horizon - t_start:
+                break
+            if first + period <= horizon and sig_at.get(first) != sig_at.get(
+                first + period
+            ):
+                continue
+            if verify(t_start, period):
+                return PeriodicityCertificate((lo, hi), t_start, period)
+    return None
+
+
+# -- diagram inclusion ------------------------------------------------------------
+
+
+def _spans_by_line(
+    diagram: SpaceTimeDiagram, cap: Optional[Scalar]
+) -> dict[tuple[Scalar, Scalar], list[_Span]]:
+    """The clipped spans of `_clipped_segments`, keyed by line (speed, x - speed*t)."""
+    lines: dict[tuple[Scalar, Scalar], list[_Span]] = {}
+    for _, v, c, birth, stop in _clipped_segments(diagram, cap):
+        lines.setdefault((v, c), []).append((birth, stop))
+    return lines
 
 
 def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:

@@ -60,7 +60,8 @@ class SignalMachine:
         rules: Iterable[tuple[Sequence[str], Sequence[str]]] = (),
         ctx: FieldContext | None = None,
     ) -> "SignalMachine":
-        """Assemble a machine from (name, speed) pairs and name-based rules."""
+        """Assemble a machine from (name, speed) pairs and name-based rules;
+        raises MachineError with the first violation `validate` reports."""
         ctx = ctx or FieldContext(0)
         signals: list[MetaSignal] = []
         speed_map: dict[MetaSignal, Scalar] = {}
@@ -82,7 +83,11 @@ class SignalMachine:
             if key in rule_map:
                 raise MachineError(f"duplicate rule for {sorted(n for n in ins)}")
             rule_map[key] = val
-        return cls(ctx, signals, speed_map, rule_map)
+        machine = cls(ctx, signals, speed_map, rule_map)
+        problems = validate(machine)
+        if problems:
+            raise MachineError(problems[0])
+        return machine
 
     def by_name(self, name: str) -> MetaSignal:
         try:

@@ -253,6 +253,9 @@ class Scalar:
 
     # -- order ------------------------------------------------------------
 
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided on integers (see _sign_parts)."""
         a, b = self.a, self.b

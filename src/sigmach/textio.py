@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .engine import SpaceTimeDiagram
+from .engine import Event, SpaceTimeDiagram
 from .model import InitialConfiguration, MachineError, SignalMachine
 from .scalars import FieldContext, Scalar, format_scalar
 
@@ -128,14 +128,15 @@ def serialize_machine(machine: SignalMachine, config: InitialConfiguration) -> s
 
 
 def event_log_lines(diagram: SpaceTimeDiagram) -> list[str]:
-    """Line-oriented exact event log:
-    ``E <index> <time> <position> <in-set> -> <out-set>``."""
-    lines = []
-    for e in diagram.events:
-        ins = ",".join(sorted(m.name for m in e.incoming))
-        outs = ",".join(sorted(m.name for m in e.outgoing)) or "-"
-        lines.append(
-            f"E {e.index} {format_scalar(e.time)} {format_scalar(e.position)} "
-            f"{ins} -> {outs}"
-        )
-    return lines
+    """Line-oriented exact event log, one `event_line` per event."""
+    return [event_line(e) for e in diagram.events]
+
+
+def event_line(e: Event) -> str:
+    """``E <index> <time> <position> <in-set> -> <out-set>``."""
+    ins = ",".join(sorted(m.name for m in e.incoming))
+    outs = ",".join(sorted(m.name for m in e.outgoing)) or "-"
+    return (
+        f"E {e.index} {format_scalar(e.time)} {format_scalar(e.position)} "
+        f"{ins} -> {outs}"
+    )

@@ -18,6 +18,11 @@ from typing import Callable, Optional
 
 from .analysis import detect_contraction, two_speed_bound_check
 from .engine import (
+    EVENT_LIMIT,
+    MISSING_RULE,
+    QUIESCENT,
+    TIME_LIMIT,
+    Event,
     RunLimits,
     RunState,
     next_collision_delta,
@@ -36,6 +41,7 @@ from .model import (
 from .presets import build_sm2_support, geometric_result
 from .scalars import FieldContext, Scalar, floor_div_mod, rational_gcd
 from .mesh import embed_in_mesh, verify_mesh_inclusion
+from .textio import event_line, event_log_lines
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,37 @@ def brute_force_next_collision(
     ]
     groups.sort(key=lambda g: g[0])
     return best, groups
+
+
+def brute_force_run(
+    machine: SignalMachine, config: InitialConfiguration, limits: RunLimits
+) -> tuple[list[Event], str]:
+    """Whole-run oracle: repeat `brute_force_next_collision`, apply the rule
+    at every meeting point, and stop on the limits and halts `run` uses.
+    Returns the events and the halt reason."""
+    sp = machine.speed_of
+    state = RunState(machine.ctx.zero(), config.sites)
+    events: list[Event] = []
+    while len(events) < limits.max_events:
+        delta, groups = brute_force_next_collision(machine, state)
+        if delta is None:
+            return events, QUIESCENT
+        t = state.time + delta
+        if limits.max_time is not None and t > limits.max_time:
+            return events, TIME_LIMIT
+        rules = [machine.rule_for(incoming) for _, incoming in groups]
+        if None in rules:
+            return events, MISSING_RULE
+        landing: dict[Scalar, frozenset[MetaSignal]] = {}
+        for x, sigs in state.sites:
+            for ms in sigs:
+                p = x + sp(ms) * delta
+                landing[p] = landing.get(p, frozenset()) | {ms}
+        for (p, incoming), outgoing in zip(groups, rules):
+            events.append(Event(len(events), t, p, incoming, outgoing))
+            landing[p] = outgoing
+        state = RunState(t, tuple((p, s) for p, s in sorted(landing.items()) if s))
+    return events, EVENT_LIMIT
 
 
 # -- random generators --------------------------------------------------------------
@@ -197,6 +234,70 @@ def suite_scheduler(seed: int = 0, count: int = 200) -> list[CaseResult]:
         want = brute_force_next_collision(machine, state)
         ok = got[0] == want[0] and got[1] == want[1]
         results.append(CaseResult(i, ok, "" if ok else f"{got} != {want}"))
+    return results
+
+
+def random_run_case(
+    rng: random.Random, index: int
+) -> tuple[SignalMachine, InitialConfiguration, RunLimits]:
+    """A random total-rule machine on speeds -1, 0, 1 with sites on the
+    integers -4..4, so that multi-way and simultaneous collisions are common,
+    then moved by a speed map v -> ratio*v + offset, which keeps every
+    collision (times scale by 1/ratio): a random rational map for even
+    cases, (phi, sqrt 5) into Q(sqrt 5) for odd ones.  Every eighth case
+    drops one rule, so that a missing rule halts the run."""
+    machine = random_machine(rng, 3, speed_pool=lambda r: Fraction(r.randint(-1, 1)))
+    classes: dict[Scalar, list[MetaSignal]] = {}
+    for ms in machine.signals:
+        classes.setdefault(machine.speed_of(ms), []).append(ms)
+    placements = []
+    for x in rng.sample(range(-4, 5), rng.randint(3, 6)):
+        for members in rng.sample(list(classes.values()), rng.randint(1, 3)):
+            placements.append((rng.choice(members), x))
+    config = InitialConfiguration.build(machine, placements)
+    rules = dict(machine.rules)
+    if index % 8 == 7:
+        del rules[rng.choice(list(rules))]
+    ctx = FieldContext(5 if index % 2 else 0)
+    if index % 2:
+        root5 = ctx.sqrt_term(1, 5)
+        amap = AffineMap((1 + root5) / 2, root5)
+    else:
+        amap = AffineMap(
+            ctx.scalar(_fraction(rng, 1, 4, dens=(1, 2, 3))),
+            ctx.scalar(_fraction(rng, -3, 3, dens=(1, 2))),
+        )
+    speed = {ms: amap(v) for ms, v in machine.speed.items()}
+    machine = SignalMachine(ctx, machine.signals, speed, rules)
+    max_time = ctx.scalar(rng.randint(2, 12)) / amap.ratio
+    return machine, config, RunLimits(max_events=rng.randint(5, 40), max_time=max_time)
+
+
+def suite_run(seed: int = 0, count: int = 200) -> list[CaseResult]:
+    """`run()` against the whole-run oracle: identical event logs, line by
+    line, and the same halt reason."""
+    rng = random.Random(seed)
+    results = []
+    for i in range(count):
+        machine, config, limits = random_run_case(rng, i)
+        events, halt = brute_force_run(machine, config, limits)
+        want = [event_line(e) for e in events]
+        try:
+            diagram = run(machine, config, limits)
+        except Exception as e:
+            results.append(CaseResult(i, False, f"run raised {e!r}"))
+            continue
+        got = event_log_lines(diagram)
+        detail = ""
+        if got != want:
+            at = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), None)
+            if at is None:
+                detail = f"{len(got)} events, oracle {len(want)}"
+            else:
+                detail = f"line {at}: {got[at]!r} != {want[at]!r}"
+        elif diagram.halt_reason != halt:
+            detail = f"halt {diagram.halt_reason}, oracle {halt}"
+        results.append(CaseResult(i, not detail, detail))
     return results
 
 
@@ -410,6 +511,7 @@ def _desk_scale_mesh_case(
 
 SUITES: dict[str, Callable[..., list[CaseResult]]] = {
     "scheduler": suite_scheduler,
+    "run": suite_run,
     "2speed": suite_2speed,
     "gcd": suite_gcd,
     "affine": suite_affine,

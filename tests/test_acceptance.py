@@ -4,6 +4,7 @@ line; run with ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
 import functools
+import random
 import time
 from fractions import Fraction
 
@@ -22,11 +23,13 @@ from sigmach.presets import (
 )
 from sigmach.scalars import FieldContext, euclid_trace
 from sigmach.verify import (
+    random_run_case,
     suite_2speed,
     suite_2speed_exhaustive,
     suite_affine,
     suite_gcd,
     suite_mesh,
+    suite_run,
     suite_scheduler,
     suite_support,
 )
@@ -223,6 +226,21 @@ def test_c08_affine_covariance():
 @criterion(9, "neighbor-scan scheduling equals brute force on 200 random states")
 def test_c09_scheduler_oracle():
     _assert_suite(suite_scheduler(seed=SEED, count=200))
+
+
+@criterion("9b", "whole runs equal the brute-force run on 200 machines in Q and Q(sqrt 5)")
+def test_c09b_whole_run_oracle():
+    _assert_suite(suite_run(seed=SEED, count=200))
+    # the cases cover multi-way collisions in both fields and every halt
+    rng = random.Random(SEED)
+    multiway, halts = {0: 0, 5: 0}, set()
+    for i in range(200):
+        machine, config, limits = random_run_case(rng, i)
+        diagram = run(machine, config, limits)
+        multiway[machine.ctx.d] += sum(len(e.incoming) >= 3 for e in diagram.events)
+        halts.add(diagram.halt_reason)
+    assert min(multiway.values()) >= 20, multiway
+    assert halts == {"quiescent", "event_limit", "time_limit", "missing_rule"}
 
 
 @criterion(10, "50 random runs embed event-for-event into their support runs")

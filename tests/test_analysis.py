@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import sigmach.analysis as analysis
 from sigmach.analysis import (
     CausalCone,
     collisions_in_cone,
@@ -13,7 +14,7 @@ from sigmach.analysis import (
     diagram_included,
     two_speed_bound_check,
 )
-from sigmach.engine import RunLimits, run
+from sigmach.engine import RunLimits, SpaceTimeDiagram, run
 from sigmach.mesh import StripSpec, strip_configuration, support_machine_nu
 from sigmach.model import (
     InitialConfiguration,
@@ -153,6 +154,49 @@ class TestPeriodicity:
         # the mover born at the single event exits the window at x=5, t=6;
         # from then on only the stationary signal remains
         assert cert.transient == Q.scalar(6)
+
+    @pytest.mark.parametrize(
+        "window, horizon, want",
+        [
+            ((0, Fraction(1, 2)), 3, (Fraction(2, 5), Fraction(1, 2))),
+            ((-1, 2), 3, (Fraction(11, 10), Fraction(1, 2))),
+            ((-1, 2), Fraction(5, 2), None),
+            (
+                (Fraction(2, 5), Fraction(2, 5)),
+                Fraction(7, 4),
+                (Fraction(1, 5), Fraction(1, 2)),
+            ),
+            # a quiescent tail: only the stationary signal at 1/3 stays, and
+            # its zero speed must count as not moving
+            (
+                (Fraction(1, 3), Fraction(1, 3)),
+                Fraction(7, 4),
+                (Fraction(5, 3), Fraction(1, 36)),
+            ),
+        ],
+    )
+    def test_strip_windows_and_horizons(self, strip_diagram, window, horizon, want):
+        lo, hi = (Q.scalar(x) for x in window)
+        cert = detect_periodicity(strip_diagram, (lo, hi), Q.scalar(horizon))
+        got = None if cert is None else (cert.transient, cert.period)
+        assert got == want
+
+    def test_decided_on_segments_alone(self, strip_diagram, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("configuration_at called")
+
+        monkeypatch.setattr(analysis, "configuration_at", refuse)
+        no_snapshots = SpaceTimeDiagram(
+            strip_diagram.machine,
+            strip_diagram.initial,
+            strip_diagram.events,
+            strip_diagram.segments,
+            [],
+            strip_diagram.final_state,
+            strip_diagram.halt_reason,
+        )
+        cert = detect_periodicity(no_snapshots, (Q.zero(), Q.one()), Q.scalar(3))
+        assert cert.serialize() == "PERIODIC window=[0,1] transient=1/2 period=1/2"
 
     def test_exclusive_with_contraction(self, sm4_diagram, strip_diagram):
         assert detect_contraction(sm4_diagram) is not None

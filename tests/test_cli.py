@@ -166,6 +166,10 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "25/25 passed" in out
 
+    def test_run_suite_passes(self, capsys):
+        assert main(["verify", "run", "--seed", "3", "--count", "16"]) == 0
+        assert "16/16 passed" in capsys.readouterr().out
+
     def test_mesh_suite_passes(self, capsys):
         assert main(["verify", "mesh", "--seed", "2", "--count", "3"]) == 0
         assert "3/3 passed" in capsys.readouterr().out

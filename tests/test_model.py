@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,9 +39,12 @@ class TestValidate:
             [(("a", "b"), ("b", "c"))],  # b and c... b=0, c=1 fine
         )
         assert validate(machine) == []
-        bad = SignalMachine.build(
-            [("a", 1), ("b", 0), ("c", 1)],
-            [(("a", "b"), ("a", "c"))],  # outputs share speed 1
+        bad = SignalMachine(
+            Q,
+            *_raw_machine_parts(
+                [("a", 1), ("b", 0), ("c", 1)],
+                [(("a", "b"), ("a", "c"))],  # outputs share speed 1
+            ),
         )
         problems = validate(bad)
         assert any("output speeds not distinct" in p for p in problems)
@@ -60,6 +64,24 @@ class TestValidate:
         )
         problems = validate(bad)
         assert any("input speeds not distinct" in p for p in problems)
+
+    @pytest.mark.parametrize(
+        "speeds, rules, message",
+        [
+            (
+                [("a", 1), ("b", 1), ("c", 0), ("d", -1)],
+                [(("a", "c"), ("a", "b")), (("b", "d"), ())],
+                "rule {a,c}: output speeds not distinct",
+            ),
+            ([("a", 1), ("b", 1)], [(("a", "b"), ())], "input speeds not distinct"),
+            ([("a", 1), ("b", 0)], [(("a",), ("b",))], "input arity < 2"),
+        ],
+    )
+    def test_build_rejects_what_validate_rejects(self, speeds, rules, message):
+        with pytest.raises(MachineError, match=re.escape(message)):
+            SignalMachine.build(speeds, rules)
+        raw = SignalMachine(Q, *_raw_machine_parts(speeds, rules))
+        assert any(message in p for p in validate(raw))
 
 
 def _raw_machine_parts(speeds, rules):

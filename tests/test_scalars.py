@@ -98,6 +98,18 @@ class TestSign:
             assert Q5.scalar(a, b).sign() == want
 
 
+class TestTruth:
+    def test_zero_is_falsy_in_every_field(self):
+        for ctx in (FieldContext(0), FieldContext(5)):
+            assert not ctx.zero()
+            assert bool(ctx.zero()) is False
+            assert ctx.one()
+            assert ctx.scalar(Fraction(-1, 3))
+        root5 = FieldContext(5).sqrt_term(1, 5)
+        assert root5 and (1 - root5)
+        assert not (root5 - root5)
+
+
 class TestOrderingAndFloor:
     def test_total_order(self):
         assert Q5.scalar(0, 1) > Q5.scalar(2)  # sqrt(5) > 2
