@@ -49,6 +49,7 @@ from .analysis import (
     detect_contraction,
     detect_periodicity,
     diagram_included,
+    find_contraction,
     two_speed_bound_check,
 )
 from .mesh import (

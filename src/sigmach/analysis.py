@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .engine import (
     QUIESCENT,
@@ -69,14 +69,20 @@ class PeriodicityCertificate:
 def detect_contraction(
     diagram: SpaceTimeDiagram, search_budget: int = 200_000
 ) -> Optional[ContractionCertificate]:
-    """Scan post-event configurations for an exact contracting self-similarity.
+    """`find_contraction` over the diagram's post-event snapshots."""
+    return find_contraction(diagram.snapshots, search_budget)
 
-    Only snapshots with the same per-site meta-signal sequence can match, so
+
+def find_contraction(
+    snaps: Sequence[RunState], search_budget: int = 200_000
+) -> Optional[ContractionCertificate]:
+    """Scan states in time order for an exact contracting self-similarity.
+
+    Only states with the same per-site meta-signal sequence can match, so
     candidates are pre-grouped by that shape.  Returns the first match in
     (t1, t2) ascending order, or None (which is inconclusive, never a proof
     of non-accumulation).
     """
-    snaps = diagram.snapshots
     shapes: list[Optional[tuple]] = []
     partners: dict[tuple, list[int]] = {}
     for idx, snap in enumerate(snaps):

@@ -12,14 +12,13 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .analysis import detect_contraction
+from .analysis import detect_contraction, find_contraction
 from .engine import (
     EVENT_LIMIT,
     MISSING_RULE,
     QUIESCENT,
     TIME_LIMIT,
     RunLimits,
-    SpaceTimeDiagram,
     run,
 )
 from .mesh import MeshSpec, StripSpec, mesh_configuration, support_machine_nu
@@ -118,14 +117,12 @@ def _cmd_run(args) -> int:
     if args.detect_accumulation:
         probe = {"next": 4}
 
-        def certifier(events, snapshots):
-            if len(events) < probe["next"]:
+        def certifier(snapshots):
+            count = snapshots[-1].event_count
+            if count < probe["next"]:
                 return None
-            probe["next"] = len(events) * 2
-            view = SpaceTimeDiagram(
-                machine, config, events, [], snapshots, snapshots[-1], EVENT_LIMIT
-            )
-            return detect_contraction(view)
+            probe["next"] = count * 2
+            return find_contraction(snapshots)
 
     diagram = run(machine, config, limits, certifier)
     print(f"halt: {diagram.halt_reason} after {len(diagram.events)} events")

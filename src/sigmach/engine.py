@@ -303,7 +303,7 @@ def advance(machine: SignalMachine, state: RunState) -> tuple[RunState, list[Eve
 
 # -- full runs ------------------------------------------------------------------
 
-Certifier = Callable[[list[Event], list[RunState]], object]
+Certifier = Callable[[list[RunState]], object]
 
 
 def run(
@@ -316,7 +316,6 @@ def run(
     certificate from the optional analysis callback."""
     limits = limits or RunLimits()
     runner = _Runner(machine, config.sites, machine.ctx.zero(), 0)
-    events = runner.events
     snapshots = [runner.state()]
     halt_reason = QUIESCENT
     halt_detail: Optional[MissingRuleError] = None
@@ -342,7 +341,7 @@ def run(
             break
         snapshots.append(runner.state())
         if certifier is not None:
-            certificate = certifier(events, snapshots)
+            certificate = certifier(snapshots)
             if certificate is not None:
                 halt_reason = CERTIFIED_ACCUMULATION
                 break
@@ -350,7 +349,7 @@ def run(
     return SpaceTimeDiagram(
         machine,
         config,
-        events,
+        runner.events,
         runner.segments,
         snapshots,
         runner.state(),

@@ -104,9 +104,7 @@ def support_machine_nu(p: int, q: int, ctx: FieldContext | None = None) -> Signa
     """The 3-signal support machine with speeds -1, 0 and p/q: every eligible
     collision re-emits all three signals."""
     ctx = ctx or FieldContext(0)
-    p, q = int(p), int(q)
-    g = math.gcd(p, q)
-    nu = Fraction(p // g, q // g)
+    nu = Fraction(int(p), int(q))
     return support_machine(
         SignalMachine.build([(LEFT, -1), (STILL, 0), (RIGHT, nu)], ctx=ctx)
     )[0]
@@ -116,15 +114,9 @@ def strip_configuration(
     spec: StripSpec, machine: SignalMachine
 ) -> InitialConfiguration:
     """Stationary signals at x0 + i*w/(p+q) for 0 <= i <= p+q, with the
-    left- and right-moving signals co-located at both walls."""
-    n = spec.subdivisions
-    placements: list[tuple[str, Scalar]] = []
-    for i in range(n + 1):
-        placements.append((STILL, spec.x0 + spec.w * Fraction(i, n)))
-    for edge in (spec.x0, spec.x0 + spec.w):
-        placements.append((LEFT, edge))
-        placements.append((RIGHT, edge))
-    return InitialConfiguration.build(machine, placements)
+    left- and right-moving signals co-located at both walls: the one-strip
+    mesh."""
+    return mesh_configuration(MeshSpec(spec, 1), machine)
 
 
 def mesh_configuration(spec: MeshSpec, machine: SignalMachine) -> InitialConfiguration:
@@ -196,7 +188,6 @@ def verify_mesh_inclusion(
     machine: SignalMachine,
     config: InitialConfiguration,
     horizon: Optional[Scalar] = None,
-    max_events: int = 100_000,
 ) -> MeshReport:
     """Normalize a 3-speed rational-like machine, project its configuration
     onto the 3-signal support machine, embed that into a mesh, run both, and
@@ -222,7 +213,7 @@ def verify_mesh_inclusion(
     if horizon is None:
         horizon = spec.strip.transient_time + 3 * spec.strip.period_candidate
 
-    limits = RunLimits(max_events=max_events, max_time=horizon)
+    limits = RunLimits(max_events=100_000, max_time=horizon)
     supp_run = run(smnu, supp_config, limits)
     mesh_run = run(smnu, mesh_configuration(spec, smnu), limits)
 

@@ -99,12 +99,7 @@ class SignalMachine:
         return self.speed[ms]
 
     def distinct_speeds(self) -> tuple[Scalar, ...]:
-        out: list[Scalar] = []
-        for s in self.speed.values():
-            if not any(s == t for t in out):
-                out.append(s)
-        out.sort()
-        return tuple(out)
+        return tuple(sorted(set(self.speed.values())))
 
     def rule_for(self, incoming: RuleKey) -> frozenset[MetaSignal] | None:
         return self.rules.get(incoming)
@@ -144,14 +139,11 @@ class InitialConfiguration:
         sites: list[Site] = []
         for p in sorted(by_pos):
             group = by_pos[p]
-            speeds = [machine.speed_of(ms) for ms in group]
-            for i, si in enumerate(speeds):
-                for sj in speeds[i + 1 :]:
-                    if si == sj:
-                        raise MachineError(
-                            f"co-located signals with equal speed at {p}: "
-                            f"{sorted(ms.name for ms in group)}"
-                        )
+            if len({machine.speed_of(ms) for ms in group}) < len(group):
+                raise MachineError(
+                    f"co-located signals with equal speed at {p}: "
+                    f"{sorted(ms.name for ms in group)}"
+                )
             sites.append((p, frozenset(group)))
         return cls(sites)
 
@@ -205,15 +197,8 @@ def validate(machine: SignalMachine) -> list[str]:
 
 
 def _distinct_speeds(machine: SignalMachine, group: Iterable[MetaSignal]) -> bool:
-    seen: list[Scalar] = []
-    for ms in group:
-        sp = machine.speed.get(ms)
-        if sp is None:
-            continue
-        if any(sp == t for t in seen):
-            return False
-        seen.append(sp)
-    return True
+    speeds = [machine.speed[ms] for ms in group if ms in machine.speed]
+    return len(set(speeds)) == len(speeds)
 
 
 @dataclass(frozen=True)
@@ -231,21 +216,18 @@ def classify(machine: SignalMachine, config: InitialConfiguration) -> Classifica
     return Classification(
         speed_count=len(speeds),
         rational=rational,
-        rational_like_machine=_pairwise_commensurate(speeds),
-        rational_like_config=_gaps_commensurate(positions),
+        rational_like_machine=_steps_commensurate(speeds),
+        rational_like_config=_steps_commensurate(positions),
     )
 
 
-def _pairwise_commensurate(values: Sequence[Scalar]) -> bool:
-    nonzero = [v for v in values if v.sign() != 0]
-    return all(
-        is_commensurate(x, y) for x, y in itertools.combinations(nonzero, 2)
-    )
-
-
-def _gaps_commensurate(positions: Sequence[Scalar]) -> bool:
-    gaps = [q - p for p, q in itertools.combinations(positions, 2)]
-    return _pairwise_commensurate(gaps)
+def _steps_commensurate(values: Sequence[Scalar]) -> bool:
+    """Every difference of two of the distinct sorted values is a rational
+    multiple of every other.  Each such difference is a sum of consecutive
+    steps and commensurability is transitive, so comparing each step with
+    the first suffices; differences make the test affine-invariant."""
+    steps = [y - x for x, y in zip(values, values[1:])]
+    return all(is_commensurate(s, steps[0]) for s in steps[1:])
 
 
 # -- affine transformations ---------------------------------------------------
@@ -306,21 +288,13 @@ def support_machine(
 ) -> tuple[SignalMachine, dict[MetaSignal, MetaSignal]]:
     """One representative meta-signal per distinct speed; every eligible input
     set maps to the full signal set.  Also returns the class projection."""
-    classes: list[tuple[Scalar, MetaSignal]] = []
-    projection: dict[MetaSignal, MetaSignal] = {}
+    reps: dict[Scalar, MetaSignal] = {}
     for ms in machine.signals:  # lowest index becomes the class representative
-        sp = machine.speed_of(ms)
-        rep = next((r for s, r in classes if s == sp), None)
-        if rep is None:
-            classes.append((sp, ms))
-    reps = [rep for _, rep in classes]
-    new_signals = [MetaSignal(rep.name, i) for i, rep in enumerate(reps)]
-    rep_to_new = {rep: new for rep, new in zip(reps, new_signals)}
-    for ms in machine.signals:
-        sp = machine.speed_of(ms)
-        rep = next(r for s, r in classes if s == sp)
-        projection[ms] = rep_to_new[rep]
-    new_speed = {rep_to_new[rep]: sp for sp, rep in classes}
+        reps.setdefault(machine.speed_of(ms), ms)
+    new_signals = [MetaSignal(rep.name, i) for i, rep in enumerate(reps.values())]
+    new_of = dict(zip(reps, new_signals))
+    projection = {ms: new_of[machine.speed_of(ms)] for ms in machine.signals}
+    new_speed = {new: sp for sp, new in new_of.items()}
     everything = frozenset(new_signals)
     rules: dict[RuleKey, frozenset[MetaSignal]] = {}
     for k in range(2, len(new_signals) + 1):

@@ -140,23 +140,32 @@ _GCD_RULES = [
 ]
 
 
-def _operand_scalars(a: ScalarLike, b: ScalarLike, ctx: FieldContext) -> tuple[Scalar, Scalar]:
-    return as_scalar(a, ctx), as_scalar(b, ctx)
+# kind -> (noun for errors, speeds, rules, sites left of the operand walls)
+_EUCLID = {
+    "sub": ("subtraction", _WALL_ARITH_SPEEDS, _SUBTRACTION_RULES, [("init", -1), ("wall0", 0)]),
+    "mod": ("modulo", _WALL_ARITH_SPEEDS, _MODULO_RULES, [("init", -1), ("wall0", 0)]),
+    "gcd": ("gcd machine", _GCD_SPEEDS, _GCD_RULES, [("wall0", 0), ("zig", 0)]),
+}
+
+
+def _build_euclid(
+    kind: str, a: ScalarLike, b: ScalarLike, ctx: FieldContext | None
+) -> tuple[SignalMachine, InitialConfiguration]:
+    noun, speeds, rules, left = _EUCLID[kind]
+    ctx = ctx or FieldContext(0)
+    a, b = as_scalar(a, ctx), as_scalar(b, ctx)
+    if not (a > b and b.sign() > 0):
+        raise ValueError(f"{noun} needs a > b > 0")
+    machine = SignalMachine.build(speeds, rules, ctx=ctx)
+    config = InitialConfiguration.build(machine, left + [("wall_b", b), ("wall_a", a)])
+    return machine, config
 
 
 def build_subtraction(
     a: ScalarLike, b: ScalarLike, ctx: FieldContext | None = None
 ) -> tuple[SignalMachine, InitialConfiguration]:
     """Single subtraction a - b via a parallelogram shift; needs a > b > 0."""
-    ctx = ctx or FieldContext(0)
-    a, b = _operand_scalars(a, b, ctx)
-    if not (a > b and b.sign() > 0):
-        raise ValueError("subtraction needs a > b > 0")
-    machine = SignalMachine.build(_WALL_ARITH_SPEEDS, _SUBTRACTION_RULES, ctx=ctx)
-    config = InitialConfiguration.build(
-        machine, [("init", -1), ("wall0", 0), ("wall_b", b), ("wall_a", a)]
-    )
-    return machine, config
+    return _build_euclid("sub", a, b, ctx)
 
 
 def build_modulo(
@@ -164,15 +173,7 @@ def build_modulo(
 ) -> tuple[SignalMachine, InitialConfiguration]:
     """Repeated subtraction until the running value drops below b.  The wall
     layout forces a > b > 0 (the walls coincide at a = b)."""
-    ctx = ctx or FieldContext(0)
-    a, b = _operand_scalars(a, b, ctx)
-    if not (a > b and b.sign() > 0):
-        raise ValueError("modulo needs a > b > 0")
-    machine = SignalMachine.build(_WALL_ARITH_SPEEDS, _MODULO_RULES, ctx=ctx)
-    config = InitialConfiguration.build(
-        machine, [("init", -1), ("wall0", 0), ("wall_b", b), ("wall_a", a)]
-    )
-    return machine, config
+    return _build_euclid("mod", a, b, ctx)
 
 
 def build_gcd(
@@ -180,15 +181,7 @@ def build_gcd(
 ) -> tuple[SignalMachine, InitialConfiguration]:
     """Iterated geometric remainder; halts with two wall0 signals spaced by
     gcd(a, b) exactly when a and b are commensurate."""
-    ctx = ctx or FieldContext(0)
-    a, b = _operand_scalars(a, b, ctx)
-    if not (a > b and b.sign() > 0):
-        raise ValueError("gcd machine needs a > b > 0")
-    machine = SignalMachine.build(_GCD_SPEEDS, _GCD_RULES, ctx=ctx)
-    config = InitialConfiguration.build(
-        machine, [("wall0", 0), ("zig", 0), ("wall_b", b), ("wall_a", a)]
-    )
-    return machine, config
+    return _build_euclid("gcd", a, b, ctx)
 
 
 PHI_CONTEXT = FieldContext(5)
@@ -297,12 +290,9 @@ def geometric_result(
     """Build, run, and read one arithmetic machine: kind is "sub", "mod" or
     "gcd".  Errors loudly when the run exhausts its event budget, which for
     commensurate inputs would mean a transcription bug."""
-    builders = {"sub": build_subtraction, "mod": build_modulo, "gcd": build_gcd}
-    try:
-        builder = builders[kind]
-    except KeyError:
-        raise ValueError(f"unknown arithmetic machine {kind!r}") from None
-    machine, config = builder(a, b, ctx=ctx)
+    if kind not in _EUCLID:
+        raise ValueError(f"unknown arithmetic machine {kind!r}")
+    machine, config = _build_euclid(kind, a, b, ctx)
     diagram = run(machine, config, RunLimits(max_events=max_events))
     if diagram.halt_reason != QUIESCENT:
         raise RuntimeError(

@@ -119,22 +119,35 @@ def _fraction(rng: random.Random, lo: int = -6, hi: int = 6, dens=(1, 2, 3)) -> 
     return Fraction(rng.randint(lo, hi), rng.choice(dens))
 
 
-def _distinct_fractions(rng: random.Random, n: int, **kw) -> list[Fraction]:
+# consecutive repeated draws after which a pool counts as unable to supply
+# the distinct values asked for
+_MAX_REPEATS = 1000
+
+
+def _distinct_draws(
+    rng: random.Random, n: int, draw: Callable[[random.Random], Fraction]
+) -> list[Fraction]:
+    """n distinct values of draw(rng), in draw order; raises ValueError once
+    _MAX_REPEATS draws in a row repeat a value already drawn."""
     got: list[Fraction] = []
+    repeats = 0
     while len(got) < n:
-        f = _fraction(rng, **kw)
+        f = draw(rng)
         if f not in got:
             got.append(f)
+            repeats = 0
+        else:
+            repeats += 1
+            if repeats == _MAX_REPEATS:
+                raise ValueError(f"{n} distinct values wanted, pool gave {len(got)}")
     return got
 
 
-def random_state(
-    rng: random.Random, max_signals: int = 12
-) -> tuple[SignalMachine, RunState]:
+def random_state(rng: random.Random) -> tuple[SignalMachine, RunState]:
     """A machine with one meta-signal per instance and a sorted random state;
     co-located instances always get distinct speeds."""
     ctx = FieldContext(0)
-    n = rng.randint(2, max_signals)
+    n = rng.randint(2, 12)
     speeds = [_fraction(rng, -5, 5) for _ in range(n)]
     machine = SignalMachine.build([(f"g{i}", s) for i, s in enumerate(speeds)], ctx=ctx)
     by_pos: dict[Fraction, set[MetaSignal]] = {}
@@ -156,18 +169,13 @@ def random_state(
 def random_machine(
     rng: random.Random,
     n_speeds: int,
-    extra_signals: int = 2,
     speed_pool: Callable[[random.Random], Fraction] | None = None,
 ) -> SignalMachine:
     """Random machine with a total rule table over every eligible input set."""
     ctx = FieldContext(0)
     draw = speed_pool or (lambda r: _fraction(r, -4, 4, dens=(1, 2)))
-    speeds: list[Fraction] = []
-    while len(speeds) < n_speeds:
-        f = draw(rng)
-        if f not in speeds:
-            speeds.append(f)
-    n_signals = n_speeds + rng.randint(0, extra_signals)
+    speeds = _distinct_draws(rng, n_speeds, draw)
+    n_signals = n_speeds + rng.randint(0, 2)
     assignment = list(speeds) + [rng.choice(speeds) for _ in range(n_signals - n_speeds)]
     rng.shuffle(assignment)
     names = [(f"m{i}", s) for i, s in enumerate(assignment)]
@@ -197,16 +205,12 @@ def random_machine(
 def random_configuration(
     rng: random.Random,
     machine: SignalMachine,
-    max_sites: int = 6,
     dens=(1, 2, 3),
 ) -> InitialConfiguration:
     ctx = machine.ctx
-    n_sites = rng.randint(2, max_sites)
-    positions: list[Fraction] = []
-    while len(positions) < n_sites:
-        p = _fraction(rng, -6, 6, dens=dens)
-        if p not in positions:
-            positions.append(p)
+    positions = _distinct_draws(
+        rng, rng.randint(2, 6), lambda r: _fraction(r, -6, 6, dens=dens)
+    )
     placements = []
     for p in positions:
         k = rng.randint(1, 2)
@@ -308,7 +312,7 @@ def suite_2speed(seed: int = 0, count: int = 100) -> list[CaseResult]:
     results = []
     for case in range(count):
         i, j = rng.randint(0, 5), rng.randint(0, 5)
-        positions = _distinct_fractions(rng, i + j, lo=-9, hi=9, dens=(1, 2))
+        positions = _distinct_draws(rng, i + j, lambda r: _fraction(r, -9, 9, dens=(1, 2)))
         kinds = ["R"] * i + ["S"] * j
         rng.shuffle(kinds)
         arrangement = list(zip(kinds, positions))
@@ -331,13 +335,13 @@ def suite_2speed(seed: int = 0, count: int = 100) -> list[CaseResult]:
     return results
 
 
-def suite_2speed_exhaustive(max_n: int = 5) -> list[CaseResult]:
+def suite_2speed_exhaustive() -> list[CaseResult]:
     """Sorted arrangements (every mover left of every blocker) reach the
-    bound exactly, for all i, j up to max_n."""
+    bound exactly, for all i, j up to 5."""
     results = []
     case = 0
-    for i in range(max_n + 1):
-        for j in range(max_n + 1):
+    for i in range(6):
+        for j in range(6):
             machine, config = build_sm2_support(i, j, "sorted")
             report = two_speed_bound_check(machine, config)
             ok = report.halted and report.count == i * j
@@ -465,7 +469,6 @@ def suite_mesh(
     seed: int = 0,
     count: int = 20,
     horizon: Optional[Scalar] = None,
-    max_cells: int = 60,
 ) -> list[CaseResult]:
     """Random rational 3-speed systems: support run embeds in its mesh, no
     event escapes the walls, the mesh is periodic, and neither the mesh nor
@@ -473,7 +476,7 @@ def suite_mesh(
     rng = random.Random(seed)
     results = []
     for i in range(count):
-        machine, config = _desk_scale_mesh_case(rng, max_cells)
+        machine, config = _desk_scale_mesh_case(rng)
         try:
             report = verify_mesh_inclusion(machine, config, horizon=horizon)
             supp_free = detect_contraction(report.support_diagram) is None
@@ -489,10 +492,9 @@ def suite_mesh(
     return results
 
 
-def _desk_scale_mesh_case(
-    rng: random.Random, max_cells: int
-) -> tuple[SignalMachine, InitialConfiguration]:
-    """Resample until the embedding mesh stays small enough to run quickly."""
+def _desk_scale_mesh_case(rng: random.Random) -> tuple[SignalMachine, InitialConfiguration]:
+    """Resample until the embedding mesh has at most 60 cells (strip
+    subdivisions), small enough to run quickly."""
     while True:
         machine = random_machine(
             rng, 3, speed_pool=lambda r: Fraction(r.randint(-4, 4), r.choice((1, 2)))
@@ -505,7 +507,7 @@ def _desk_scale_mesh_case(
             spec = embed_in_mesh(config, p, q)
         except Exception:
             continue
-        if spec.k * spec.strip.subdivisions <= max_cells:
+        if spec.k * spec.strip.subdivisions <= 60:
             return machine, config
 
 

@@ -102,7 +102,7 @@ def test_c03_arithmetic_machines():
 
 @criterion(4, "2-speed runs halt within the i*j bound; sorted arrangements reach it")
 def test_c04_two_speed_bound():
-    _assert_suite(suite_2speed_exhaustive(max_n=5))
+    _assert_suite(suite_2speed_exhaustive())
     _assert_suite(suite_2speed(seed=SEED, count=100))
 
 

@@ -136,13 +136,53 @@ class TestClassify:
     def test_irrational_speed_machine(self):
         machine, config = build_gcd_phi()
         c = classify(machine, config)
-        assert not c.rational_like_machine  # phi against -1
+        assert not c.rational_like_machine  # speeds -1, 0, phi: steps 1 and phi
         assert c.rational_like_config
+
+    def test_rational_like_is_affine_invariant_in_q_sqrt5(self):
+        # v -> (2/3)v + sqrt 5 moves rational machines and configurations into
+        # Q(sqrt 5); differences only scale, so both verdicts stay true
+        q5 = FieldContext(5)
+        amap = AffineMap(q5.scalar(Fraction(2, 3)), q5.sqrt_term(1, 5))
+        rng = random.Random(3)
+        for _ in range(200):
+            machine = random_machine(rng, rng.randint(2, 4))
+            config = random_configuration(rng, machine)
+            c = classify(
+                apply_affine_to_machine(machine, amap),
+                apply_affine_to_configuration(config, amap),
+            )
+            assert not c.rational
+            assert c.rational_like_machine and c.rational_like_config
+
+    def test_three_speeds_rational_like_iff_nu_is_rational(self):
+        q5 = FieldContext(5)
+        pool = [q5.scalar(a, b) for a in range(-2, 3) for b in (0, 1)]
+        rng = random.Random(4)
+        verdicts = set()
+        for _ in range(200):
+            speeds = rng.sample(pool, 3)
+            machine = SignalMachine.build(
+                [(f"s{i}", v) for i, v in enumerate(speeds)], ctx=q5
+            )
+            config = InitialConfiguration.build(machine, [("s0", 0)])
+            nu = normalize_speeds(machine, config)[0].distinct_speeds()[-1]
+            verdict = classify(machine, config).rational_like_machine
+            assert verdict == (nu.b == 0)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_single_speed(self):
         machine = SignalMachine.build([("a", 1)])
         config = InitialConfiguration.build(machine, [("a", 0)])
         assert classify(machine, config).speed_count == 1
+
+
+class TestGenerators:
+    def test_random_machine_rejects_a_pool_too_small(self):
+        three = lambda r: Fraction(r.choice((-1, 0, 1)))  # noqa: E731
+        with pytest.raises(ValueError):
+            random_machine(random.Random(0), 4, speed_pool=three)
 
 
 class TestAffine:

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from sigmach.engine import QUIESCENT, RunLimits, run
-from sigmach.model import validate
+from sigmach.model import AffineMap, InitialConfiguration, SignalMachine, validate
 from sigmach.presets import build_sm4, read_encoded_value
 from sigmach.scalars import FieldContext
 from sigmach.textio import (
@@ -13,9 +14,40 @@ from sigmach.textio import (
     parse_machine_file,
     serialize_machine,
 )
+from sigmach.verify import random_configuration, random_machine
 
 Q = FieldContext(0)
+Q5 = FieldContext(5)
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+
+def random_system(rng, moved):
+    """A random valid machine and configuration; with `moved`, speeds and
+    positions go into Q(sqrt 5) by v -> phi*v + sqrt 5."""
+    machine = random_machine(rng, rng.randint(2, 4))
+    config = random_configuration(rng, machine)
+    if not moved:
+        return machine, config
+    root5 = Q5.sqrt_term(1, 5)
+    amap = AffineMap((1 + root5) / 2, root5)
+    speed = {ms: amap(v) for ms, v in machine.speed.items()}
+    sites = [(amap(p), sigs) for p, sigs in config.sites]
+    return SignalMachine(Q5, machine.signals, speed, machine.rules), InitialConfiguration(sites)
+
+
+def exact(machine, config):
+    """Every bit of a parsed system: field, names, indexes and speed parts in
+    declaration order, rules by names, and site positions and members."""
+    speeds = [(ms.name, ms.index, machine.speed_of(ms)) for ms in machine.signals]
+    return (
+        machine.ctx.d,
+        [(n, i, v.a, v.b, v.d) for n, i, v in speeds],
+        {
+            frozenset(m.name for m in k): frozenset(m.name for m in v)
+            for k, v in machine.rules.items()
+        },
+        [(p.a, p.b, sorted(m.name for m in s)) for p, s in config.sites],
+    )
 
 
 class TestParsing:
@@ -146,6 +178,42 @@ class TestRoundTrip:
             frozenset(m.name for m in k): frozenset(m.name for m in v)
             for k, v in machine.rules.items()
         }
+
+
+class TestSeededProperties:
+    @pytest.mark.parametrize("moved", [False, True], ids=["Q", "Q(sqrt5)"])
+    def test_random_systems_round_trip_exactly(self, moved):
+        rng = random.Random(8)
+        for _ in range(60):
+            machine, config = random_system(rng, moved)
+            text = serialize_machine(machine, config)
+            machine2, config2 = parse_machine_file(text)
+            assert exact(machine2, config2) == exact(machine, config)
+            assert serialize_machine(machine2, config2) == text
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["Q", "Q(sqrt5)"])
+    def test_random_bad_rule_lines_name_their_line(self, moved):
+        rng = random.Random(9)
+        for k in range(60):
+            machine, config = random_system(rng, moved)
+            lines = serialize_machine(machine, config).splitlines()
+            # declare `twin` with the speed of the last signal, right after it
+            last = max(i for i, line in enumerate(lines) if line.startswith("signal "))
+            lines.insert(last + 1, f"signal twin {lines[last].split(' ', 2)[2]}")
+            a = machine.signals[-1].name
+            speed = machine.speed_of(machine.signals[-1])
+            b = next(ms.name for ms in machine.signals if machine.speed_of(ms) != speed)
+            bad, reason = [
+                (f"rule {a},twin ->", f"input speeds not distinct in {a},twin"),
+                (f"rule {a},{b} -> {a},twin", f"output speeds not distinct in {a},twin"),
+                (f"rule {a},ghost -> {a}", "unknown meta-signal 'ghost'"),
+                (f"rule {a} -> {a}", "rule needs at least two incoming signals"),
+            ][k % 4]
+            at = rng.randint(last + 2, len(lines))
+            lines.insert(at, bad)
+            with pytest.raises(MachineParseError) as err:
+                parse_machine_file("\n".join(lines) + "\n")
+            assert (err.value.line_no, err.value.reason) == (at + 1, reason)
 
 
 class TestShippedFilesReproduceResults:
