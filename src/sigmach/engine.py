@@ -1,19 +1,24 @@
 """Event-driven dynamics: one scheduler for next-collision search, single
 steps and full runs.
 
-`run`, `advance` and `next_collision_delta` all drive the same `_Runner`,
-which scans adjacent site pairs only; the minimal positive meeting delay is
-always realized by such a pair, a fact the test suite checks against a
-brute-force all-pairs oracle through `next_collision_delta`.  All collision
-coordinates are exact scalars, so simultaneous and multi-way collisions group
-by literal position equality with no tie-breaking.
+`run`, `advance` and `next_collision_delta` all drive the same `_Runner`.  It
+keeps every live signal as a line with a fixed intercept, in spatial order,
+and the meeting times of neighbouring lines in a heap, so an event costs work
+for the signals that collide, not for every live one.  The test suite checks
+its next meeting against a brute-force all-pairs oracle through
+`next_collision_delta`, and whole runs against `verify.brute_force_run`.  All
+collision coordinates are exact scalars, so simultaneous and multi-way
+collisions group by exact meeting time with no tie-breaking.  A run records
+only the live lines after each step; `SpaceTimeDiagram.snapshots` builds the
+`RunState` of a step the first time it is read.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .model import InitialConfiguration, MetaSignal, SignalMachine, Site
 from .scalars import Scalar
@@ -90,7 +95,8 @@ class MissingRuleError(RuntimeError):
 
 
 class SpaceTimeDiagram:
-    """Recorded run: exact event log, signal segments, state snapshots."""
+    """Recorded run: exact event log, signal segments, and the post-event
+    state snapshots, each built when first read."""
 
     __slots__ = (
         "machine",
@@ -110,7 +116,7 @@ class SpaceTimeDiagram:
         initial: InitialConfiguration,
         events: list[Event],
         segments: list[Segment],
-        snapshots: list[RunState],
+        snapshots: Sequence[RunState],
         final_state: RunState,
         halt_reason: str,
         halt_detail: Optional[MissingRuleError] = None,
@@ -151,21 +157,81 @@ class SpaceTimeDiagram:
 
 # -- the scheduler ----------------------------------------------------------------
 #
-# Every live signal is a member (speed rank, meta-signal, open segment), and
-# each site keeps its members sorted by (rank, index).  The first meeting is
-# always between adjacent sites, the fastest member of the left one against
-# the slowest of the right one, so one pass over neighbouring pairs finds the
-# minimal delay.  Walking the sites in order at that delay yields
-# non-decreasing landing positions (two signals can only swap order by first
-# meeting), so one linear pass groups the collisions by exact position.
+# A live signal is a line (id, site, rank, c, meta-signal, {meta-signal}):
+# `id` indexes its segment, `site` is the id of the first signal opened at
+# the same place and time, `rank` indexes its speed v, and c = x - v*t is
+# fixed for its life, so nothing moves between events and a position is
+# computed only when read.
+# `order` holds the lines in spatial order just after the current time, so
+# the siblings of a site that has just opened come slowest first.  Two lines
+# can only swap places by meeting, so the first meeting is always between
+# neighbours, the left one faster, and every such pair waits in a heap keyed
+# by its exact meeting time.  Nothing can come between two live neighbours,
+# so an entry is stale exactly when one of its lines has died; stale entries
+# are dropped when they reach the top.  A step pops every pair due at the
+# earliest time; pairs that share a line chain into one collision group, a
+# contiguous slice of `order`.  Only the neighbours of a fired group form new
+# pairs, so an event costs O(k log n) for k colliding signals, as in the
+# kinetic sorted list of Basch, Guibas and Hershberger ("Data structures for
+# mobile data", 1999) and the Bentley-Ottmann sweep.
 
-_Member = tuple[int, MetaSignal, Segment]
-_LiveSite = tuple[Scalar, list[_Member]]
+_Line = tuple[int, int, int, Scalar, MetaSignal, frozenset[MetaSignal]]
+# What a step keeps of its state: (time, event count, fresh, lines), where
+# the lines with id >= fresh are still at the site they were opened at.
+_Record = tuple[Scalar, int, int, tuple[_Line, ...]]
+
+
+def _state(
+    record: _Record, speeds: Sequence[Scalar], segments: Sequence[Segment]
+) -> RunState:
+    """The sites of recorded lines: one per line, except that lines opened
+    together at the record's time still share the point of their birth."""
+    time, count, fresh, lines = record
+    moves = [v * time for v in speeds]
+    sites: list[Site] = []
+    shared = -1
+    for line_id, site, rank, c, _, solo in lines:
+        if site == shared:
+            sites[-1] = (sites[-1][0], sites[-1][1] | solo)
+        elif line_id >= fresh:
+            sites.append((segments[line_id].birth_position, solo))
+            shared = site
+        else:
+            sites.append((c + moves[rank], solo))
+    return RunState(time, tuple(sites), count)
+
+
+class _Snapshots:
+    """The post-event states of a run, as a read-only sequence.  A step
+    records only its live lines; a state is built the first time it is read
+    and replaces its record."""
+
+    __slots__ = ("_items", "_speeds", "_segments")
+
+    def __init__(self, speeds: Sequence[Scalar], segments: Sequence[Segment]) -> None:
+        self._items: list[_Record | RunState] = []
+        self._speeds = speeds
+        self._segments = segments
+
+    def append(self, record: _Record) -> None:
+        self._items.append(record)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self._items)))]
+        item = self._items[i]
+        if type(item) is tuple:
+            item = self._items[i] = _state(item, self._speeds, self._segments)
+        return item
 
 
 class _Runner:
-    """The scheduler: sorted live sites, the clock, and the events and
-    segments recorded since construction."""
+    """The scheduler: live lines in spatial order, the heap of neighbour
+    meetings, the clock, and the events and segments recorded since
+    construction."""
 
     def __init__(
         self,
@@ -176,101 +242,124 @@ class _Runner:
     ) -> None:
         self.machine = machine
         self.speeds = machine.distinct_speeds()
-        self.rank = {
-            ms: self.speeds.index(machine.speed_of(ms)) for ms in machine.signals
+        # per signal: its speed rank, an order among co-located signals, and
+        # the one-signal set that its sites share in every state read
+        self.member = {
+            ms: (self.speeds.index(machine.speed_of(ms)), ms.index, ms, frozenset((ms,)))
+            for ms in machine.signals
         }
+        # gaps[i][j] = speeds[i] - speeds[j] for j < i: how fast i closes on j
+        self.gaps = [[v - w for w in self.speeds[:i]] for i, v in enumerate(self.speeds)]
         self.time = time
         self.event_count = event_count
         self.events: list[Event] = []
         self.segments: list[Segment] = []
-        self.live: list[_LiveSite] = [
-            (p, self.open_site(p, sigs, None)) for p, sigs in sites
-        ]
+        self.fresh = 0  # lines from this id on still sit where they were opened
+        self.order: list[_Line] = []
+        for p, sigs in sites:
+            self.order += self.open_site(p, sigs, None)
+        self.heap: list[tuple[Scalar, _Line, _Line]] = []
+        self.push_pairs(range(len(self.order) - 1))
 
     def open_site(
         self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int]
-    ) -> list[_Member]:
-        """One new segment per signal at (p, now), in (rank, index) order."""
-        rank = self.rank
-        members: list[_Member] = []
-        for ms in sorted(sigs, key=lambda m: (rank[m], m.index)):
-            seg = Segment(ms, p, self.time, ev)
-            self.segments.append(seg)
-            members.append((rank[ms], ms, seg))
-        return members
+    ) -> list[_Line]:
+        """One new line and segment per signal at (p, now), slowest first."""
+        speeds, time, segments = self.speeds, self.time, self.segments
+        site = len(segments)
+        lines: list[_Line] = []
+        for r, _, ms, solo in sorted(self.member[m] for m in sigs):
+            lines.append((len(segments), site, r, p - speeds[r] * time, ms, solo))
+            segments.append(Segment(ms, p, time, ev))
+        return lines
 
-    def min_delta(self) -> Optional[Scalar]:
-        best: Optional[Scalar] = None
+    def push_pairs(self, lefts: Iterable[int]) -> None:
+        """Queue the meeting of order[i] and order[i + 1] for each i whose
+        left line is the faster."""
+        order, gaps, heap = self.order, self.gaps, self.heap
+        for i in lefts:
+            left, right = order[i], order[i + 1]
+            if left[2] > right[2]:
+                t = (right[3] - left[3]) / gaps[left[2]][right[2]]
+                heapq.heappush(heap, (t, left, right))
+
+    def alive(self, line: _Line) -> bool:
+        return self.segments[line[0]].death_event is None
+
+    def next_time(self) -> Optional[Scalar]:
+        """Earliest meeting time ahead, None when nothing will ever meet."""
+        heap = self.heap
+        while heap:
+            t, left, right = heap[0]
+            if self.alive(left) and self.alive(right):
+                return t
+            heapq.heappop(heap)
+        return None
+
+    def pop_groups(self, t: Scalar) -> list[tuple[int, int, Scalar]]:
+        """Pop every pair meeting at t = next_time() and chain them into
+        collision groups: slices [start, end) of `order` with their meeting
+        point, left to right."""
+        heap, order = self.heap, self.order
+        lefts = []
+        while heap and heap[0][0] == t:
+            _, left, right = heapq.heappop(heap)
+            if self.alive(left) and self.alive(right):
+                lefts.append(order.index(left))
+        lefts.sort()
+        spans: list[list[int]] = []
+        for i in lefts:
+            if spans and spans[-1][1] == i + 1:
+                spans[-1][1] = i + 2
+            else:
+                spans.append([i, i + 2])
         speeds = self.speeds
-        for (x1, m1), (x2, m2) in zip(self.live, self.live[1:]):
-            fast, slow = m1[-1][0], m2[0][0]
-            if fast > slow:
-                d = (x2 - x1) / (speeds[fast] - speeds[slow])
-                if best is None or d < best:
-                    best = d
-        return best
+        return [(s, e, order[s][3] + speeds[order[s][2]] * t) for s, e in spans]
 
-    def landings(self, delta: Scalar) -> list[_LiveSite]:
-        """Sites after every signal moves by delta*speed, members landing on
-        one position grouped.  Only valid for 0 < delta <= min_delta()."""
-        moves = [v * delta for v in self.speeds]
-        groups: list[_LiveSite] = []
-        for x, members in self.live:
-            for m in members:
-                p = x + moves[m[0]]
-                if groups and groups[-1][0] == p:
-                    groups[-1][1].append(m)
-                else:
-                    groups.append((p, [m]))
-        return groups
-
-    def drift_all(self, delta: Scalar) -> None:
-        """Move every signal by delta*speed, no collisions resolved.  Only
-        valid for delta below the next collision delay."""
-        if delta.sign() == 0:
-            return
-        self.live = self.landings(delta)
-        self.time = self.time + delta
-
-    def step(self, delta: Scalar) -> None:
-        """Advance to the next collision time and apply every rule there.
-        Raises MissingRuleError before mutating anything."""
-        if delta.sign() <= 0:
-            raise AssertionError("collision delay must be strictly positive")
-        t_new = self.time + delta
-        groups = self.landings(delta)
-        fired: dict[int, tuple[frozenset[MetaSignal], frozenset[MetaSignal]]] = {}
-        for gi, (p, members) in enumerate(groups):
-            if len(members) >= 2:
-                incoming = frozenset(ms for _, ms, _ in members)
-                outgoing = self.machine.rule_for(incoming)
-                if outgoing is None:
-                    raise MissingRuleError(p, t_new, incoming)
-                fired[gi] = (incoming, outgoing)
-        if not fired:
-            raise AssertionError("step() called with no collision at delta")
-        self.time = t_new
-        live: list[_LiveSite] = []
-        for gi, (p, members) in enumerate(groups):
-            if gi not in fired:
-                live.append((p, members))
-                continue
-            incoming, outgoing = fired[gi]
+    def step(self, t: Scalar) -> None:
+        """Fire every collision at t = next_time().  Raises MissingRuleError
+        before any line, segment or event changes."""
+        order = self.order
+        fired = []
+        for start, end, p in self.pop_groups(t):
+            incoming = frozenset(line[4] for line in order[start:end])
+            outgoing = self.machine.rule_for(incoming)
+            if outgoing is None:
+                raise MissingRuleError(p, t, incoming)
+            fired.append((start, end, p, incoming, outgoing))
+        self.time = t
+        self.fresh = len(self.segments)
+        opened = []
+        for start, end, p, incoming, outgoing in fired:
             idx = self.event_count
-            self.events.append(Event(idx, t_new, p, incoming, outgoing))
+            self.events.append(Event(idx, t, p, incoming, outgoing))
             self.event_count += 1
-            for _, _, seg in members:
-                seg.death_time = t_new
+            for line in order[start:end]:
+                seg = self.segments[line[0]]
+                seg.death_time = t
                 seg.death_event = idx
-            if outgoing:
-                live.append((p, self.open_site(p, outgoing, idx)))
-        self.live = live
+            opened.append(self.open_site(p, outgoing, idx))
+        # splice right to left, so that earlier slices keep their indexes
+        for (start, end, *_), lines in zip(reversed(fired), reversed(opened)):
+            order[start:end] = lines
+        lefts = set()
+        shift = 0
+        for (start, end, *_), lines in zip(fired, opened):
+            lefts.update((start + shift - 1, start + shift + len(lines) - 1))
+            shift += len(lines) - (end - start)
+        self.push_pairs(sorted(i for i in lefts if 0 <= i < len(order) - 1))
+
+    def drift(self, t: Scalar) -> None:
+        """Move the clock to t, before the next meeting; no line changes."""
+        if t != self.time:
+            self.time = t
+            self.fresh = len(self.segments)
+
+    def record(self) -> _Record:
+        return self.time, self.event_count, self.fresh, tuple(self.order)
 
     def state(self) -> RunState:
-        sites = tuple(
-            (p, frozenset(ms for _, ms, _ in members)) for p, members in self.live
-        )
-        return RunState(self.time, sites, self.event_count)
+        return _state(self.record(), self.speeds, self.segments)
 
 
 def next_collision_delta(
@@ -279,31 +368,31 @@ def next_collision_delta(
     """Minimal positive delay until some signals meet, plus every meeting
     point realized at that delay.  (None, []) when nothing ever collides."""
     runner = _Runner(machine, state.sites, state.time, state.event_count)
-    delta = runner.min_delta()
-    if delta is None:
+    t = runner.next_time()
+    if t is None:
         return None, []
+    order = runner.order
     groups = [
-        (p, frozenset(ms for _, ms, _ in members))
-        for p, members in runner.landings(delta)
-        if len(members) >= 2
+        (p, frozenset(line[4] for line in order[start:end]))
+        for start, end, p in runner.pop_groups(t)
     ]
-    return delta, groups
+    return t - state.time, groups
 
 
 def advance(machine: SignalMachine, state: RunState) -> tuple[RunState, list[Event]]:
     """One dynamics step from an arbitrary state.  Raises MissingRuleError on
     an unruled collision and ValueError when no collision is ahead."""
     runner = _Runner(machine, state.sites, state.time, state.event_count)
-    delta = runner.min_delta()
-    if delta is None:
+    t = runner.next_time()
+    if t is None:
         raise ValueError("no further collision: delta is infinite")
-    runner.step(delta)
+    runner.step(t)
     return runner.state(), runner.events
 
 
 # -- full runs ------------------------------------------------------------------
 
-Certifier = Callable[[list[RunState]], object]
+Certifier = Callable[[Sequence[RunState]], object]
 
 
 def run(
@@ -316,7 +405,8 @@ def run(
     certificate from the optional analysis callback."""
     limits = limits or RunLimits()
     runner = _Runner(machine, config.sites, machine.ctx.zero(), 0)
-    snapshots = [runner.state()]
+    snapshots = _Snapshots(runner.speeds, runner.segments)
+    snapshots.append(runner.record())
     halt_reason = QUIESCENT
     halt_detail: Optional[MissingRuleError] = None
     certificate: object | None = None
@@ -325,21 +415,21 @@ def run(
         if runner.event_count >= limits.max_events:
             halt_reason = EVENT_LIMIT
             break
-        delta = runner.min_delta()
-        if delta is None:
+        t = runner.next_time()
+        if t is None:
             halt_reason = QUIESCENT
             break
-        if limits.max_time is not None and runner.time + delta > limits.max_time:
-            runner.drift_all(limits.max_time - runner.time)
+        if limits.max_time is not None and t > limits.max_time:
+            runner.drift(limits.max_time)
             halt_reason = TIME_LIMIT
             break
         try:
-            runner.step(delta)
+            runner.step(t)
         except MissingRuleError as err:
             halt_reason = MISSING_RULE
             halt_detail = err
             break
-        snapshots.append(runner.state())
+        snapshots.append(runner.record())
         if certifier is not None:
             certificate = certifier(snapshots)
             if certificate is not None:
@@ -373,5 +463,5 @@ def configuration_at(diagram: SpaceTimeDiagram, t: Scalar) -> RunState:
         return base
     # strictly before the next event, so the drift resolves no collision
     runner = _Runner(diagram.machine, base.sites, base.time, base.event_count)
-    runner.drift_all(t - base.time)
+    runner.drift(t)
     return runner.state()

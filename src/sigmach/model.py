@@ -262,10 +262,12 @@ class AffineMap:
 
 
 def apply_affine_to_machine(machine: SignalMachine, amap: AffineMap) -> SignalMachine:
-    """New machine with every speed replaced by ratio*speed + offset;
-    signals and rules are shared unchanged."""
+    """New machine with every speed replaced by ratio*speed + offset, in the
+    field of its irrational speeds if it has any; signals and rules are
+    shared unchanged."""
     new_speed = {ms: amap(sp) for ms, sp in machine.speed.items()}
-    return SignalMachine(machine.ctx, machine.signals, new_speed, machine.rules)
+    ctx = next((FieldContext(sp.d) for sp in new_speed.values() if sp.b), machine.ctx)
+    return SignalMachine(ctx, machine.signals, new_speed, machine.rules)
 
 
 def apply_affine_to_configuration(

@@ -259,9 +259,10 @@ def random_run_case(
         for members in rng.sample(list(classes.values()), rng.randint(1, 3)):
             placements.append((rng.choice(members), x))
     config = InitialConfiguration.build(machine, placements)
-    rules = dict(machine.rules)
     if index % 8 == 7:
+        rules = dict(machine.rules)
         del rules[rng.choice(list(rules))]
+        machine = SignalMachine(machine.ctx, machine.signals, machine.speed, rules)
     ctx = FieldContext(5 if index % 2 else 0)
     if index % 2:
         root5 = ctx.sqrt_term(1, 5)
@@ -271,8 +272,7 @@ def random_run_case(
             ctx.scalar(_fraction(rng, 1, 4, dens=(1, 2, 3))),
             ctx.scalar(_fraction(rng, -3, 3, dens=(1, 2))),
         )
-    speed = {ms: amap(v) for ms, v in machine.speed.items()}
-    machine = SignalMachine(ctx, machine.signals, speed, rules)
+    machine = apply_affine_to_machine(machine, amap)
     max_time = ctx.scalar(rng.randint(2, 12)) / amap.ratio
     return machine, config, RunLimits(max_events=rng.randint(5, 40), max_time=max_time)
 

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -26,8 +27,13 @@ from sigmach.presets import (
     build_sm2_support,
     build_sm4,
 )
-from sigmach.scalars import FieldContext
-from sigmach.verify import brute_force_next_collision, random_state
+from sigmach.scalars import FieldContext, Scalar
+from sigmach.verify import (
+    brute_force_next_collision,
+    random_configuration,
+    random_machine,
+    random_state,
+)
 
 Q = FieldContext(0)
 
@@ -280,3 +286,109 @@ class TestSchedulerOracle:
             by_index.setdefault(len(batch), 0)
             by_index[len(batch)] += 1
         assert any(k >= 2 for k in by_index)  # at least one true simultaneous batch
+
+
+def drifted(machine, state, t):
+    """The state moved to t, strictly before its next collision: every signal
+    on its own site, in order of position."""
+    moved = sorted(
+        ((p + machine.speed_of(ms) * (t - state.time), ms) for p, sigs in state.sites for ms in sigs),
+        key=lambda site: site[0],
+    )
+    return RunState(t, tuple((p, frozenset((ms,))) for p, ms in moved), state.event_count)
+
+
+def stepped_states(machine, config, steps):
+    """The initial state and the states reached by `advance`, one per step."""
+    states = [initial_state(machine, config)]
+    for _ in range(steps):
+        states.append(advance(machine, states[-1])[0])
+    return states
+
+
+def snapshot_systems():
+    """25 seeded random machines, sm4, gcd and mod, each with its limits."""
+    rng = random.Random(9090)
+    systems = []
+    for i in range(25):
+        machine = random_machine(rng, rng.randint(2, 4))
+        config = random_configuration(rng, machine)
+        systems.append(pytest.param(machine, config, RunLimits(max_events=60), id=f"random{i}"))
+    systems.append(pytest.param(*build_sm4(), RunLimits(max_events=60), id="sm4"))
+    systems.append(pytest.param(*build_gcd(37, 5), RunLimits(), id="gcd"))
+    systems.append(pytest.param(*build_modulo(23, 4), RunLimits(), id="mod"))
+    return systems
+
+
+SNAPSHOT_SYSTEMS = snapshot_systems()
+
+
+class TestSnapshots:
+    """`run()` records lines and builds a state when it is first read; the
+    order of reads must not change what is read."""
+
+    @pytest.mark.parametrize("machine, config, limits", SNAPSHOT_SYSTEMS)
+    def test_any_read_order_gives_the_stepped_states(self, machine, config, limits):
+        want = stepped_states(machine, config, len(run(machine, config, limits).snapshots) - 1)
+        n = len(want)
+        backwards = run(machine, config, limits).snapshots
+        assert [backwards[i] for i in reversed(range(n))] == want[::-1]
+        negative = run(machine, config, limits).snapshots
+        assert [negative[-k] for k in range(1, n + 1)] == want[::-1]
+        sliced = run(machine, config, limits).snapshots
+        assert sliced[n // 2:] == want[n // 2:]
+        assert sliced[::-1] == want[::-1]
+        assert sliced[:n // 2] == want[:n // 2]
+        assert list(run(machine, config, limits).snapshots) == want
+
+    @pytest.mark.parametrize("machine, config, limits", SNAPSHOT_SYSTEMS)
+    def test_configuration_at_between_and_at_events(self, machine, config, limits):
+        diagram = run(machine, config, limits)
+        states = stepped_states(machine, config, len(diagram.snapshots) - 1)
+        for state, later in zip(states, states[1:]):
+            assert configuration_at(diagram, state.time) == state
+            mid = (state.time + later.time) / 2
+            assert configuration_at(diagram, mid) == drifted(machine, state, mid)
+
+    def test_a_run_leaves_no_reference_cycles(self):
+        systems = [(*build_sm4(), RunLimits(max_events=200)), (*build_gcd(100, 3), RunLimits())]
+        gc.collect()
+        gc.disable()
+        try:
+            for machine, config, limits in systems:
+                diagram = run(machine, config, limits)
+                assert len(list(diagram.snapshots)) > 1
+                del diagram
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+SCALAR_OPS = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__eq__", "_cmp",
+]
+
+
+def test_scalar_ops_per_event_do_not_grow_with_live_signals(monkeypatch):
+    """gcd(a, 3) keeps about a/20 signals alive; the scheduler's cost per
+    event must depend on the colliding signals only."""
+    count = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            count[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    per_event = {}
+    for a in (100, 1000):
+        machine, config = build_gcd(a, 3)
+        with monkeypatch.context() as patch:
+            for name in SCALAR_OPS:
+                patch.setattr(Scalar, name, counted(getattr(Scalar, name)))
+            count[0] = 0
+            diagram = run(machine, config)
+        per_event[a] = count[0] / len(diagram.events)
+    assert per_event[1000] <= 1.5 * per_event[100], per_event

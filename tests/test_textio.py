@@ -5,7 +5,12 @@ from pathlib import Path
 import pytest
 
 from sigmach.engine import QUIESCENT, RunLimits, run
-from sigmach.model import AffineMap, InitialConfiguration, SignalMachine, validate
+from sigmach.model import (
+    AffineMap,
+    InitialConfiguration,
+    apply_affine_to_machine,
+    validate,
+)
 from sigmach.presets import build_sm4, read_encoded_value
 from sigmach.scalars import FieldContext
 from sigmach.textio import (
@@ -30,9 +35,8 @@ def random_system(rng, moved):
         return machine, config
     root5 = Q5.sqrt_term(1, 5)
     amap = AffineMap((1 + root5) / 2, root5)
-    speed = {ms: amap(v) for ms, v in machine.speed.items()}
     sites = [(amap(p), sigs) for p, sigs in config.sites]
-    return SignalMachine(Q5, machine.signals, speed, machine.rules), InitialConfiguration(sites)
+    return apply_affine_to_machine(machine, amap), InitialConfiguration(sites)
 
 
 def exact(machine, config):
@@ -178,6 +182,14 @@ class TestRoundTrip:
             frozenset(m.name for m in k): frozenset(m.name for m in v)
             for k, v in machine.rules.items()
         }
+
+    def test_machine_moved_into_q_sqrt5_round_trips(self):
+        machine, config = build_sm4()
+        moved = apply_affine_to_machine(machine, AffineMap(Q5.scalar(Fraction(2, 3)), Q5.sqrt_term(1, 5)))
+        assert moved.ctx == Q5
+        text = serialize_machine(moved, config)
+        assert text.startswith("field sqrt 5\n")
+        assert exact(*parse_machine_file(text)) == exact(moved, config)
 
 
 class TestSeededProperties:
