@@ -427,7 +427,8 @@ def run(
             runner.step(t)
         except MissingRuleError as err:
             halt_reason = MISSING_RULE
-            halt_detail = err
+            # without its traceback, which holds this frame and so the error
+            halt_detail = err.with_traceback(None)
             break
         snapshots.append(runner.record())
         if certifier is not None:

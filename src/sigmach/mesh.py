@@ -63,10 +63,6 @@ class StripSpec:
             raise ValueError("strip width must be positive")
 
     @property
-    def nu(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    @property
     def subdivisions(self) -> int:
         return self.p + self.q
 

@@ -9,6 +9,7 @@ integer sign tests, and no floating point is ever consulted.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 from dataclasses import dataclass
@@ -311,22 +312,14 @@ class Scalar:
 
     def floor(self) -> int:
         """Largest integer <= value, found without floating point."""
-        if self.b == 0:
-            return int(self.a.numerator // self.a.denominator)
-        # exponential bracket then binary search, all via exact sign tests
-        lo = -1
-        while (self - lo).sign() < 0:
-            lo *= 2
-        hi = 1
-        while (self - hi).sign() >= 0:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - mid).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        a, b = self.a, self.b
+        if b == 0:
+            return a.numerator // a.denominator
+        # value * ad*bd = an*bd + bn*ad*sqrt(d), and sqrt(d) is irrational, so
+        # |bn*ad*sqrt(d)| lies strictly between r and r + 1
+        r = math.isqrt(b.numerator ** 2 * a.denominator ** 2 * self.d)
+        num, den = a.numerator * b.denominator, a.denominator * b.denominator
+        return (num + r) // den if b > 0 else (num - r - 1) // den
 
     # -- misc ---------------------------------------------------------------
 

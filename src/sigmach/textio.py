@@ -36,7 +36,8 @@ def parse_machine_file(text: str) -> tuple[SignalMachine, InitialConfiguration]:
     speeds: list[tuple[str, str]] = []
     speed_of: dict[str, Scalar] = {}
     rules: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    inits: list[tuple[str, str]] = []
+    inits: list[tuple[str, Scalar]] = []
+    placed: dict[Scalar, dict[str, Scalar]] = {}  # position -> name -> speed
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,10 +96,17 @@ def parse_machine_file(text: str) -> tuple[SignalMachine, InitialConfiguration]:
             if name not in speed_of:
                 raise MachineParseError(line_no, f"unknown meta-signal {name!r}")
             try:
-                ctx.parse(pos_txt)
+                pos = ctx.parse(pos_txt)
             except ValueError as e:
                 raise MachineParseError(line_no, f"bad position: {e}")
-            inits.append((name, pos_txt))
+            here = placed.setdefault(pos, {})
+            if name not in here and speed_of[name] in here.values():
+                raise MachineParseError(
+                    line_no,
+                    f"co-located signals with equal speed at {pos}: {sorted([*here, name])}",
+                )
+            here[name] = speed_of[name]
+            inits.append((name, pos))
         else:
             raise MachineParseError(line_no, f"unknown directive {head!r}")
 

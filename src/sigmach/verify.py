@@ -11,7 +11,9 @@ independent of the implementations they check.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -25,6 +27,7 @@ from .engine import (
     Event,
     RunLimits,
     RunState,
+    SpaceTimeDiagram,
     next_collision_delta,
     run,
 )
@@ -47,8 +50,11 @@ from .textio import event_line, event_log_lines
 @dataclass(frozen=True)
 class CaseResult:
     index: int
-    ok: bool
     detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.detail
 
 
 # -- brute-force scheduler oracle -------------------------------------------------
@@ -228,17 +234,34 @@ def random_configuration(
 # -- suites ---------------------------------------------------------------------------
 
 
-def suite_scheduler(seed: int = 0, count: int = 200) -> list[CaseResult]:
-    """Adjacent-pair scan vs all-pairs oracle, including simultaneous groups."""
+def _cases(
+    seed: int, count: int, case: Callable[[random.Random, int], str]
+) -> list[CaseResult]:
+    """Run case(rng, i) for i in range(count) on one seeded generator.  A case
+    returns "" on a pass and the failure text otherwise; a case that raises
+    fails with the exception and its innermost frame, and the next case runs."""
     rng = random.Random(seed)
     results = []
     for i in range(count):
+        try:
+            detail = case(rng, i)
+        except Exception as e:
+            where = traceback.extract_tb(e.__traceback__)[-1]
+            detail = f"raised {e!r} at {os.path.basename(where.filename)}:{where.lineno}"
+        results.append(CaseResult(i, detail))
+    return results
+
+
+def suite_scheduler(seed: int = 0, count: int = 200) -> list[CaseResult]:
+    """Adjacent-pair scan vs all-pairs oracle, including simultaneous groups."""
+
+    def case(rng: random.Random, i: int) -> str:
         machine, state = random_state(rng)
         got = next_collision_delta(machine, state)
         want = brute_force_next_collision(machine, state)
-        ok = got[0] == want[0] and got[1] == want[1]
-        results.append(CaseResult(i, ok, "" if ok else f"{got} != {want}"))
-    return results
+        return "" if got == want else f"{got} != {want}"
+
+    return _cases(seed, count, case)
 
 
 def random_run_case(
@@ -280,37 +303,30 @@ def random_run_case(
 def suite_run(seed: int = 0, count: int = 200) -> list[CaseResult]:
     """`run()` against the whole-run oracle: identical event logs, line by
     line, and the same halt reason."""
-    rng = random.Random(seed)
-    results = []
-    for i in range(count):
+
+    def case(rng: random.Random, i: int) -> str:
         machine, config, limits = random_run_case(rng, i)
         events, halt = brute_force_run(machine, config, limits)
         want = [event_line(e) for e in events]
-        try:
-            diagram = run(machine, config, limits)
-        except Exception as e:
-            results.append(CaseResult(i, False, f"run raised {e!r}"))
-            continue
+        diagram = run(machine, config, limits)
         got = event_log_lines(diagram)
-        detail = ""
         if got != want:
             at = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), None)
             if at is None:
-                detail = f"{len(got)} events, oracle {len(want)}"
-            else:
-                detail = f"line {at}: {got[at]!r} != {want[at]!r}"
-        elif diagram.halt_reason != halt:
-            detail = f"halt {diagram.halt_reason}, oracle {halt}"
-        results.append(CaseResult(i, not detail, detail))
-    return results
+                return f"{len(got)} events, oracle {len(want)}"
+            return f"line {at}: {got[at]!r} != {want[at]!r}"
+        if diagram.halt_reason != halt:
+            return f"halt {diagram.halt_reason}, oracle {halt}"
+        return ""
+
+    return _cases(seed, count, case)
 
 
 def suite_2speed(seed: int = 0, count: int = 100) -> list[CaseResult]:
     """Random interleavings never exceed the i*j collision bound and always
     halt; the event count equals the number of (mover left of blocker) pairs."""
-    rng = random.Random(seed)
-    results = []
-    for case in range(count):
+
+    def case(rng: random.Random, _: int) -> str:
         i, j = rng.randint(0, 5), rng.randint(0, 5)
         positions = _distinct_draws(rng, i + j, lambda r: _fraction(r, -9, 9, dens=(1, 2)))
         kinds = ["R"] * i + ["S"] * j
@@ -324,32 +340,26 @@ def suite_2speed(seed: int = 0, count: int = 100) -> list[CaseResult]:
             if ((ka, kb) == ("R", "S") and pa < pb)
             or ((ka, kb) == ("S", "R") and pb < pa)
         )
-        ok = report.halted and report.count == crossings and report.count <= report.bound
-        results.append(
-            CaseResult(
-                case,
-                ok,
-                "" if ok else f"count={report.count} crossings={crossings} bound={report.bound}",
-            )
-        )
-    return results
+        if report.halted and report.count == crossings and report.count <= report.bound:
+            return ""
+        return f"count={report.count} crossings={crossings} bound={report.bound}"
+
+    return _cases(seed, count, case)
 
 
 def suite_2speed_exhaustive() -> list[CaseResult]:
     """Sorted arrangements (every mover left of every blocker) reach the
     bound exactly, for all i, j up to 5."""
-    results = []
-    case = 0
-    for i in range(6):
-        for j in range(6):
-            machine, config = build_sm2_support(i, j, "sorted")
-            report = two_speed_bound_check(machine, config)
-            ok = report.halted and report.count == i * j
-            results.append(
-                CaseResult(case, ok, "" if ok else f"i={i} j={j} count={report.count}")
-            )
-            case += 1
-    return results
+
+    def case(_: random.Random, index: int) -> str:
+        i, j = divmod(index, 6)
+        machine, config = build_sm2_support(i, j, "sorted")
+        report = two_speed_bound_check(machine, config)
+        if report.halted and report.count == i * j:
+            return ""
+        return f"i={i} j={j} count={report.count}"
+
+    return _cases(0, 36, case)
 
 
 def _random_operands(rng: random.Random) -> tuple[Fraction, Fraction]:
@@ -365,12 +375,10 @@ def _random_operands(rng: random.Random) -> tuple[Fraction, Fraction]:
 def suite_gcd(seed: int = 0, count: int = 200) -> list[CaseResult]:
     """Geometric subtraction/modulo/gcd against the integer-arithmetic
     oracles; every run must halt."""
-    rng = random.Random(seed)
     ctx = FieldContext(0)
-    results = []
-    ops = ["sub", "mod", "gcd"]
-    for i in range(count):
-        kind = ops[i % 3]
+
+    def case(rng: random.Random, i: int) -> str:
+        kind = ("sub", "mod", "gcd")[i % 3]
         a, b = _random_operands(rng)
         sa, sb = ctx.scalar(a), ctx.scalar(b)
         if kind == "sub":
@@ -379,58 +387,53 @@ def suite_gcd(seed: int = 0, count: int = 200) -> list[CaseResult]:
             want = floor_div_mod(sa, sb)[1]
         else:
             want = rational_gcd(sa, sb)
-        try:
-            got = geometric_result(kind, a, b)
-            ok = got == want
-            detail = "" if ok else f"{kind}({a},{b}) = {got}, want {want}"
-        except Exception as e:  # non-halting or readout failure
-            ok, detail = False, f"{kind}({a},{b}) raised {e}"
-        results.append(CaseResult(i, ok, detail))
-    return results
+        got = geometric_result(kind, a, b)
+        return "" if got == want else f"{kind}({a},{b}) = {got}, want {want}"
+
+    return _cases(seed, count, case)
+
+
+def _event_keys(diagram: SpaceTimeDiagram, amap: AffineMap) -> list[tuple]:
+    """The events of a run of the machine moved by amap, mapped back by
+    h(x, t) = (x - offset*t, ratio*t), as sorted comparable keys."""
+    return sorted(
+        (amap.ratio * e.time, e.position - amap.offset * e.time,
+         tuple(sorted(m.name for m in e.incoming)),
+         tuple(sorted(m.name for m in e.outgoing)))
+        for e in diagram.events
+    )
 
 
 def suite_affine(seed: int = 0, count: int = 50) -> list[CaseResult]:
     """Transformed-machine runs match the original under
     h(x, t) = (x - offset*t, ratio*t) applied to the transformed log."""
-    rng = random.Random(seed)
     ctx = FieldContext(0)
-    results = []
     ratios = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), 2, 3]
-    for i in range(count):
+    identity = AffineMap.identity(ctx)
+
+    def case(rng: random.Random, _: int) -> str:
         machine = random_machine(rng, 3)
         config = random_configuration(rng, machine)
         amap = AffineMap(
             ctx.scalar(rng.choice(ratios)), ctx.scalar(_fraction(rng, -3, 3, dens=(1, 2)))
         )
-        mapped = apply_affine_to_machine(machine, amap)
         limits = RunLimits(max_events=120)
         d0 = run(machine, config, limits)
-        d1 = run(mapped, config, limits)
-        sig0 = sorted(
-            (e.time, e.position, tuple(sorted(m.name for m in e.incoming)),
-             tuple(sorted(m.name for m in e.outgoing)))
-            for e in d0.events
-        )
-        sig1 = sorted(
-            (amap.ratio * e.time, e.position - amap.offset * e.time,
-             tuple(sorted(m.name for m in e.incoming)),
-             tuple(sorted(m.name for m in e.outgoing)))
-            for e in d1.events
-        )
-        ok = d0.halt_reason == d1.halt_reason and sig0 == sig1
-        results.append(
-            CaseResult(i, ok, "" if ok else f"halt {d0.halt_reason}/{d1.halt_reason}, "
-                                            f"{len(d0.events)}/{len(d1.events)} events")
-        )
-    return results
+        d1 = run(apply_affine_to_machine(machine, amap), config, limits)
+        same = _event_keys(d0, identity) == _event_keys(d1, amap)
+        if d0.halt_reason == d1.halt_reason and same:
+            return ""
+        return (f"halt {d0.halt_reason}/{d1.halt_reason}, "
+                f"{len(d0.events)}/{len(d1.events)} events")
+
+    return _cases(seed, count, case)
 
 
 def suite_support(seed: int = 0, count: int = 50) -> list[CaseResult]:
     """Every event of a run reappears at identical coordinates in the run of
     the support machine on the projected configuration."""
-    rng = random.Random(seed)
-    results = []
-    for i in range(count):
+
+    def case(rng: random.Random, _: int) -> str:
         machine = random_machine(
             rng,
             rng.randint(2, 4),
@@ -445,24 +448,20 @@ def suite_support(seed: int = 0, count: int = 50) -> list[CaseResult]:
         )
         bounds = [h for h in (original.horizon, supp.horizon) if h is not None]
         cap = min(bounds) if bounds else None
-        index: dict[tuple[Scalar, Scalar], frozenset] = {}
-        for e in supp.events:
-            index[(e.position, e.time)] = e.incoming
-        ok, detail = True, ""
+        index = {(e.position, e.time): e.incoming for e in supp.events}
         for e in original.events:
             if cap is not None and e.time > cap:
                 continue
             supp_in = index.get((e.position, e.time))
             if supp_in is None:
-                ok, detail = False, f"event {e!r} missing from support run"
-                break
+                return f"event {e!r} missing from support run"
             if not {projection[m].name for m in e.incoming} <= {
                 m.name for m in supp_in
             }:
-                ok, detail = False, f"incoming mismatch at {e!r}"
-                break
-        results.append(CaseResult(i, ok, detail))
-    return results
+                return f"incoming mismatch at {e!r}"
+        return ""
+
+    return _cases(seed, count, case)
 
 
 def suite_mesh(
@@ -473,23 +472,20 @@ def suite_mesh(
     """Random rational 3-speed systems: support run embeds in its mesh, no
     event escapes the walls, the mesh is periodic, and neither the mesh nor
     the support run admits a contraction certificate."""
-    rng = random.Random(seed)
-    results = []
-    for i in range(count):
+
+    def case(rng: random.Random, _: int) -> str:
         machine, config = _desk_scale_mesh_case(rng)
-        try:
-            report = verify_mesh_inclusion(machine, config, horizon=horizon)
-            supp_free = detect_contraction(report.support_diagram) is None
-            ok = report.ok and supp_free
-            detail = "" if ok else (
-                f"included={report.included} inside={report.events_inside} "
-                f"periodic={report.periodicity is not None} "
-                f"mesh_free={report.mesh_contraction_free} supp_free={supp_free}"
-            )
-        except Exception as e:
-            ok, detail = False, f"raised {e}"
-        results.append(CaseResult(i, ok, detail))
-    return results
+        report = verify_mesh_inclusion(machine, config, horizon=horizon)
+        supp_free = detect_contraction(report.support_diagram) is None
+        if report.ok and supp_free:
+            return ""
+        return (
+            f"included={report.included} inside={report.events_inside} "
+            f"periodic={report.periodicity is not None} "
+            f"mesh_free={report.mesh_contraction_free} supp_free={supp_free}"
+        )
+
+    return _cases(seed, count, case)
 
 
 def _desk_scale_mesh_case(rng: random.Random) -> tuple[SignalMachine, InitialConfiguration]:
@@ -502,11 +498,7 @@ def _desk_scale_mesh_case(rng: random.Random) -> tuple[SignalMachine, InitialCon
         config = random_configuration(rng, machine, dens=(1, 2))
         normalized, _, _ = normalize_speeds(machine, config)
         nu = normalized.distinct_speeds()[-1]
-        p, q = int(nu.a.numerator), int(nu.a.denominator)
-        try:
-            spec = embed_in_mesh(config, p, q)
-        except Exception:
-            continue
+        spec = embed_in_mesh(config, int(nu.a.numerator), int(nu.a.denominator))
         if spec.k * spec.strip.subdivisions <= 60:
             return machine, config
 
@@ -517,5 +509,6 @@ SUITES: dict[str, Callable[..., list[CaseResult]]] = {
     "2speed": suite_2speed,
     "gcd": suite_gcd,
     "affine": suite_affine,
+    "support": suite_support,
     "mesh": suite_mesh,
 }

@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 import sigmach
+from sigmach import verify
 from sigmach.cli import main
 from sigmach.svg import RenderOptions, render_diagram
 from sigmach.engine import RunLimits, run
 from sigmach.presets import build_sm4
+from sigmach.verify import SUITES
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -35,6 +37,22 @@ class TestRunCommand:
 
     def test_sm4_without_detection_is_inconclusive(self, capsys):
         assert main(["run", "--preset", "sm4", "--max-events", "20"]) == 3
+
+    def test_sm4_certified_after_the_event_budget(self, capsys):
+        # three events are too few for the run's own certifier; the check
+        # after the run finds the contraction
+        assert main(["run", "--preset", "sm4", "--max-events", "3", "--detect-accumulation"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == [
+            "halt: event_limit after 3 events",
+            "ACCUMULATION center=0 time=2 ratio=49/81",
+        ]
+
+    def test_gcd_phi_preset_detection(self, capsys):
+        argv = ["run", "--preset", "gcd-phi", "--max-events", "20", "--detect-accumulation"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("halt: certified_accumulation after 8 events\n")
 
     def test_gcd_phi_detection_from_file(self, capsys):
         assert (
@@ -173,6 +191,45 @@ class TestVerifyCommand:
     def test_mesh_suite_passes(self, capsys):
         assert main(["verify", "mesh", "--seed", "2", "--count", "3"]) == 0
         assert "3/3 passed" in capsys.readouterr().out
+
+    def test_mesh_suite_with_a_horizon(self, capsys):
+        assert main(["verify", "mesh", "--horizon", "30", "--count", "2"]) == 0
+        assert capsys.readouterr().out.endswith("mesh: 2/2 passed\n")
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_every_registered_suite_runs(self, suite, capsys):
+        assert main(["verify", suite, "--count", "2"]) == 0
+        assert capsys.readouterr().out.endswith(f"{suite}: 2/2 passed\n")
+
+    def test_a_case_that_raises_is_one_fail_line(self, capsys, monkeypatch):
+        calls, real = [], verify.random_state
+
+        def random_state(rng):
+            calls.append(rng)
+            if len(calls) == 2:
+                raise ZeroDivisionError("boom")
+            return real(rng)
+
+        monkeypatch.setattr(verify, "random_state", random_state)
+        assert main(["verify", "scheduler", "--count", "4"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in out[:4]] == ["pass", "FAIL", "pass", "pass"]
+        assert out[1].startswith("case    1: FAIL  raised ZeroDivisionError('boom') at test_cli.py:")
+        assert out[4] == "scheduler: 3/4 passed"
+
+    def test_an_embedding_fault_fails_the_mesh_case(self, monkeypatch):
+        calls, real = [], verify.embed_in_mesh
+
+        def embed_in_mesh(config, p, q):
+            calls.append(config)
+            if len(calls) == 1:
+                raise AssertionError("gcd of gaps does not divide the span")
+            return real(config, p, q)
+
+        monkeypatch.setattr(verify, "embed_in_mesh", embed_in_mesh)
+        results = verify.suite_mesh(seed=0, count=2)
+        assert [r.ok for r in results] == [False, True]
+        assert "AssertionError('gcd of gaps does not divide the span')" in results[0].detail
 
     def test_bad_horizon_exits_1(self, capsys):
         assert main(["verify", "mesh", "--horizon", "abc"]) == 1

@@ -150,6 +150,24 @@ class TestRun:
         assert diagram.halt_reason == MISSING_RULE
         assert diagram.halt_detail.time == Q.one()
         assert diagram.events == []
+        # the diagram describes the run up to, not including, the halt
+        assert diagram.horizon == Q.one()
+        assert not diagram.covers(Q.one())
+        assert diagram.covers(Q.scalar(Fraction(1, 2)))
+        assert not diagram.covers(-Q.one())
+
+    def test_missing_rule_halt_leaves_no_reference_cycles(self):
+        machine = SignalMachine.build([("r", 1), ("s", 0)])
+        config = InitialConfiguration.build(machine, [("r", 0), ("s", 1)])
+        gc.collect()
+        gc.disable()
+        try:
+            diagram = run(machine, config)
+            assert str(diagram.halt_detail) == "no rule for {r,s} at x=1, t=1"
+            del diagram
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_event_budget(self):
         machine, config = build_sm4()

@@ -323,13 +323,6 @@ def test_subtraction_and_order_agree(x, y):
     assert (diff.sign() == 0) == (x == y)
 
 
-@given(scalars(Q5))
-@settings(max_examples=200)
-def test_floor_brackets_value(x):
-    n = x.floor()
-    assert Q5.scalar(n) <= x and x < n + 1
-
-
 # -- the rational fast path against the plain quadratic-field formulas --------
 #
 # Each reference below is computed on the (a, b) Fractions alone, with the
@@ -349,6 +342,15 @@ q5_irrational_scalars = st.builds(
     Q5.scalar, any_rationals, any_rationals.filter(lambda f: f != 0)
 )
 mixed_scalars = st.one_of(q_scalars, q5_rational_scalars, q5_irrational_scalars)
+
+
+@given(st.sampled_from([2, 3, 5]), any_rationals, any_rationals)
+@settings(max_examples=300)
+def test_floor_brackets_value(d, a, b):
+    ctx = FieldContext(d)
+    x = ctx.scalar(a, b)
+    n = x.floor()
+    assert ctx.scalar(n) <= x and x < n + 1
 
 
 def _ref_sign(a: Fraction, b: Fraction, d: int) -> int:

@@ -161,8 +161,18 @@ class TestParseErrors:
         assert err.value.line_no == 5
 
     def test_colocated_same_speed(self):
-        with pytest.raises(MachineParseError):
-            parse_machine_file("signal a 1\nsignal b 1\ninit a@0\ninit b@0\n")
+        text = "signal a 1\nsignal b 1\nsignal c 0\nrule a,c -> a\ninit a@0\ninit b@0\n"
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file(text)
+        assert err.value.line_no == 6
+        assert err.value.reason == "co-located signals with equal speed at 0: ['a', 'b']"
+
+    def test_colocated_equal_positions_written_differently(self):
+        text = "signal a 1\nsignal b 1\ninit a@1/2\ninit a@2/4\ninit b@3/6\n"
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file(text)
+        assert err.value.line_no == 5
+        assert err.value.reason == "co-located signals with equal speed at 1/2: ['a', 'b']"
 
 
 class TestRoundTrip:
