@@ -44,12 +44,12 @@ from .engine import (
 from .analysis import (
     CausalCone,
     ContractionCertificate,
+    ContractionSearch,
     PeriodicityCertificate,
     collisions_in_cone,
     detect_contraction,
     detect_periodicity,
     diagram_included,
-    find_contraction,
     two_speed_bound_check,
 )
 from .mesh import (

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .engine import (
     QUIESCENT,
     RunLimits,
     RunState,
     SpaceTimeDiagram,
+    _Snapshots,
     configuration_at,
     run,
 )
@@ -66,65 +67,75 @@ class PeriodicityCertificate:
 # -- contraction ----------------------------------------------------------------
 
 
+class ContractionSearch:
+    """Incremental search for an exact contracting self-similarity between
+    two post-event states of one run.
+
+    `feed` reads the states of a run's snapshots in time order, from where
+    its last call stopped, and tests each new state j against the earlier
+    states of the same shape (per-site signal sets), oldest first.  Shapes
+    are read from the recorded lines, so a state is built only when it is
+    compared.  The search stops at the first match, so the answer is the
+    pair with the least t2, then the least t1.  At most `search_budget`
+    pairs are tested over the whole search, counted in that order.  None is
+    inconclusive, never a proof of non-accumulation.
+    """
+
+    def __init__(self, search_budget: int = 200_000) -> None:
+        self._found: Optional[ContractionCertificate] = None
+        self._left = search_budget  # pairs that may still be tested
+        self._read = 0  # states read so far
+        self._by_shape: dict[tuple, list[int]] = {}
+
+    def feed(self, snaps: _Snapshots) -> Optional[ContractionCertificate]:
+        """Test the states not read yet; the certificate once one is found."""
+        while self._found is None and self._read < len(snaps):
+            j = self._read
+            self._read += 1
+            shape = snaps.shape(j)
+            if len(shape) < 2:
+                continue
+            earlier = self._by_shape.setdefault(shape, [])
+            for i in earlier:
+                if self._left == 0:
+                    return None
+                self._left -= 1
+                found = _homothety(snaps[i], snaps[j])
+                if found is not None:
+                    ratio, center = found
+                    t1, t2 = snaps[i].time, snaps[j].time
+                    limit = t1 + (t2 - t1) / (1 - ratio)
+                    self._found = ContractionCertificate(t1, t2, ratio, center, limit)
+                    return self._found
+            earlier.append(j)
+        return self._found
+
+
 def detect_contraction(
     diagram: SpaceTimeDiagram, search_budget: int = 200_000
 ) -> Optional[ContractionCertificate]:
-    """`find_contraction` over the diagram's post-event snapshots."""
-    return find_contraction(diagram.snapshots, search_budget)
-
-
-def find_contraction(
-    snaps: Sequence[RunState], search_budget: int = 200_000
-) -> Optional[ContractionCertificate]:
-    """Scan states in time order for an exact contracting self-similarity.
-
-    Only states with the same per-site meta-signal sequence can match, so
-    candidates are pre-grouped by that shape.  Returns the first match in
-    (t1, t2) ascending order, or None (which is inconclusive, never a proof
-    of non-accumulation).
-    """
-    shapes: list[Optional[tuple]] = []
-    partners: dict[tuple, list[int]] = {}
-    for idx, snap in enumerate(snaps):
-        if len(snap.sites) < 2:
-            shapes.append(None)
-            continue
-        shape = tuple(sigs for _, sigs in snap.sites)
-        shapes.append(shape)
-        partners.setdefault(shape, []).append(idx)
-    tested = 0
-    for i, shape in enumerate(shapes):
-        if shape is None:
-            continue
-        for j in partners[shape]:
-            if j <= i:
-                continue
-            tested += 1
-            if tested > search_budget:
-                return None
-            found = _homothety(snaps[i], snaps[j])
-            if found is not None:
-                ratio, center = found
-                t1, t2 = snaps[i].time, snaps[j].time
-                limit = t1 + (t2 - t1) / (1 - ratio)
-                return ContractionCertificate(t1, t2, ratio, center, limit)
-    return None
+    """A `ContractionSearch` over the diagram's post-event snapshots."""
+    return ContractionSearch(search_budget).feed(diagram.snapshots)
 
 
 def _homothety(s1: RunState, s2: RunState) -> Optional[tuple[Scalar, Scalar]]:
     """Ratio and center mapping s1's sites onto s2's, if one exists with
-    ratio strictly between 0 and 1.  Site signal sets must already agree."""
+    ratio strictly between 0 and 1.  Site signal sets must already agree.
+    The test is division-free: the ratio span2/span1 lies in (0, 1) when
+    span1, span2 and span1 - span2 share one sign, and every other site
+    must satisfy (x2 - x2[0])*span1 = (x1 - x1[0])*span2."""
     xs1 = [p for p, _ in s1.sites]
     xs2 = [p for p, _ in s2.sites]
-    span = xs1[1] - xs1[0]
-    ratio = (xs2[1] - xs2[0]) / span
-    if ratio.sign() <= 0 or (1 - ratio).sign() <= 0:
+    span1 = xs1[1] - xs1[0]
+    span2 = xs2[1] - xs2[0]
+    sign = span1.sign()
+    if sign == 0 or span2.sign() != sign or (span1 - span2).sign() != sign:
         return None
-    center = (xs2[0] - ratio * xs1[0]) / (1 - ratio)
-    for x1, x2 in zip(xs1, xs2):
-        if center + ratio * (x1 - center) != x2:
+    for x1, x2 in zip(xs1[2:], xs2[2:]):
+        if (x2 - xs2[0]) * span1 != (x1 - xs1[0]) * span2:
             return None
-    return ratio, center
+    ratio = span2 / span1
+    return ratio, (xs2[0] - ratio * xs1[0]) / (1 - ratio)
 
 
 def contraction_replay_matches(

@@ -12,7 +12,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .analysis import detect_contraction, find_contraction
+from .analysis import ContractionSearch
 from .engine import (
     EVENT_LIMIT,
     MISSING_RULE,
@@ -64,8 +64,8 @@ def _build_parser() -> _Parser:
 
     verp = sub.add_parser("verify", help="run a seeded property suite")
     verp.add_argument("suite", choices=sorted(SUITES) + ["2speed-exhaustive"])
-    verp.add_argument("--seed", type=int, default=0)
-    verp.add_argument("--count", type=int, default=None)
+    verp.add_argument("--seed", type=int, default=None, help="default 0")
+    verp.add_argument("--count", type=int, default=None, help="at least 1")
     verp.add_argument("--horizon", default=None, help="exact scalar horizon (mesh suite)")
 
     meshp = sub.add_parser("mesh", help="emit a mesh initial configuration")
@@ -113,8 +113,12 @@ def _cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
+    # one search for the whole run: probes at doubling event counts feed it
+    # the states recorded since the last probe, and after the run it reads
+    # the rest, so no pair of states is tested twice
+    search = ContractionSearch() if args.detect_accumulation else None
     certifier = None
-    if args.detect_accumulation:
+    if search is not None:
         probe = {"next": 4}
 
         def certifier(snapshots):
@@ -122,14 +126,14 @@ def _cmd_run(args) -> int:
             if count < probe["next"]:
                 return None
             probe["next"] = count * 2
-            return find_contraction(snapshots)
+            return search.feed(snapshots)
 
     diagram = run(machine, config, limits, certifier)
     print(f"halt: {diagram.halt_reason} after {len(diagram.events)} events")
 
     certificate = diagram.certificate
-    if args.detect_accumulation and certificate is None:
-        certificate = detect_contraction(diagram)
+    if search is not None and certificate is None:
+        certificate = search.feed(diagram.snapshots)
     accum_point = None
     if certificate is not None:
         print(certificate.serialize())
@@ -168,10 +172,10 @@ def _cmd_verify(args) -> int:
         results = suite_2speed_exhaustive()
     else:
         suite = SUITES[args.suite]
-        kwargs = {"seed": args.seed}
+        kwargs = {"seed": args.seed or 0}
         if args.count is not None:
             kwargs["count"] = args.count
-        if args.suite == "mesh" and args.horizon is not None:
+        if args.horizon is not None:
             try:
                 horizon = FieldContext(0).parse(args.horizon)
                 if horizon < 0:
@@ -208,8 +212,26 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The parsed command line; verify options that do not fit the chosen
+    suite are usage errors."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "verify":
+        return args
+    if args.count is not None and args.count < 1:
+        parser.error("argument --count: must be at least 1")
+    if args.suite == "2speed-exhaustive":
+        for option in ("count", "seed"):
+            if getattr(args, option) is not None:
+                parser.error(f"argument --{option}: 2speed-exhaustive always runs all its cases")
+    if args.horizon is not None and args.suite != "mesh":
+        parser.error("argument --horizon: only the mesh suite takes a horizon")
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "verify":

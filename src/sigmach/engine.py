@@ -181,30 +181,42 @@ _Line = tuple[int, int, int, Scalar, MetaSignal, frozenset[MetaSignal]]
 _Record = tuple[Scalar, int, int, tuple[_Line, ...]]
 
 
+def _sites(record: _Record) -> list[tuple[_Line, frozenset[MetaSignal]]]:
+    """The sites of recorded lines, left to right, as (first line, signal
+    set): one per line, except that lines opened together at the record's
+    time still share the point of their birth."""
+    fresh, lines = record[2], record[3]
+    sites: list[tuple[_Line, frozenset[MetaSignal]]] = []
+    shared = -1
+    for line in lines:
+        if line[1] == shared:
+            sites[-1] = (sites[-1][0], sites[-1][1] | line[5])
+        else:
+            sites.append((line, line[5]))
+            if line[0] >= fresh:
+                shared = line[1]
+    return sites
+
+
 def _state(
     record: _Record, speeds: Sequence[Scalar], segments: Sequence[Segment]
 ) -> RunState:
-    """The sites of recorded lines: one per line, except that lines opened
-    together at the record's time still share the point of their birth."""
-    time, count, fresh, lines = record
+    """The state of a record: each site at its first line's position, a line
+    that is still at its birth point read from its segment."""
+    time, count, fresh, _ = record
     moves = [v * time for v in speeds]
     sites: list[Site] = []
-    shared = -1
-    for line_id, site, rank, c, _, solo in lines:
-        if site == shared:
-            sites[-1] = (sites[-1][0], sites[-1][1] | solo)
-        elif line_id >= fresh:
-            sites.append((segments[line_id].birth_position, solo))
-            shared = site
-        else:
-            sites.append((c + moves[rank], solo))
+    for line, sigs in _sites(record):
+        line_id, _, rank, c, _, _ = line
+        p = segments[line_id].birth_position if line_id >= fresh else c + moves[rank]
+        sites.append((p, sigs))
     return RunState(time, tuple(sites), count)
 
 
 class _Snapshots:
     """The post-event states of a run, as a read-only sequence.  A step
     records only its live lines; a state is built the first time it is read
-    and replaces its record."""
+    and replaces its record, and its shape can be read without building it."""
 
     __slots__ = ("_items", "_speeds", "_segments")
 
@@ -213,8 +225,8 @@ class _Snapshots:
         self._speeds = speeds
         self._segments = segments
 
-    def append(self, record: _Record) -> None:
-        self._items.append(record)
+    def append(self, item: _Record | RunState) -> None:
+        self._items.append(item)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -226,6 +238,12 @@ class _Snapshots:
         if type(item) is tuple:
             item = self._items[i] = _state(item, self._speeds, self._segments)
         return item
+
+    def shape(self, i: int) -> tuple[frozenset[MetaSignal], ...]:
+        """The signal sets of state i's sites, left to right; builds no state."""
+        item = self._items[i]
+        sites = _sites(item) if type(item) is tuple else item.sites
+        return tuple(sigs for _, sigs in sites)
 
 
 class _Runner:
@@ -392,7 +410,7 @@ def advance(machine: SignalMachine, state: RunState) -> tuple[RunState, list[Eve
 
 # -- full runs ------------------------------------------------------------------
 
-Certifier = Callable[[Sequence[RunState]], object]
+Certifier = Callable[[_Snapshots], object]
 
 
 def run(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import sigmach.analysis as analysis
+import sigmach.engine as engine
 from sigmach.analysis import (
     CausalCone,
     collisions_in_cone,
@@ -15,7 +16,12 @@ from sigmach.analysis import (
     two_speed_bound_check,
 )
 from sigmach.engine import RunLimits, SpaceTimeDiagram, run
-from sigmach.mesh import StripSpec, strip_configuration, support_machine_nu
+from sigmach.mesh import (
+    StripSpec,
+    strip_configuration,
+    support_machine_nu,
+    verify_mesh_inclusion,
+)
 from sigmach.model import (
     InitialConfiguration,
     MachineError,
@@ -96,6 +102,32 @@ class TestContraction:
 
     def test_strip_has_no_contraction(self, strip_diagram):
         assert detect_contraction(strip_diagram) is None
+
+    def test_a_search_builds_only_the_states_it_compares(self, monkeypatch):
+        # shapes come from the recorded lines, so a state is built only as
+        # one side of a comparison
+        machine = support_machine_nu(2, 3)
+        config = strip_configuration(StripSpec.make(2, 3, 0, 1), machine)
+        strip = run(machine, config, RunLimits(max_events=4000, max_time=Q.scalar(3)))
+        support = verify_mesh_inclusion(*build_gcd(8, 3)).support_diagram
+        builds, compares = [], []
+        real_state, real_homothety = engine._state, analysis._homothety
+
+        def state(*args):
+            builds.append(args)
+            return real_state(*args)
+
+        def homothety(s1, s2):
+            compares.append((s1, s2))
+            return real_homothety(s1, s2)
+
+        monkeypatch.setattr(engine, "_state", state)
+        monkeypatch.setattr(analysis, "_homothety", homothety)
+        for diagram in (strip, support):
+            builds.clear()
+            compares.clear()
+            assert detect_contraction(diagram) is None
+            assert len(builds) <= 2 * len(compares)
 
 
 class TestPeriodicity:

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import sigmach
-from sigmach import verify
+import sigmach.analysis as analysis
+from sigmach import cli, verify
+from sigmach.analysis import detect_contraction
 from sigmach.cli import main
 from sigmach.svg import RenderOptions, render_diagram
 from sigmach.engine import RunLimits, run
@@ -83,6 +85,35 @@ class TestRunCommand:
         assert main(argv + ["--max-events", "60", "--detect-accumulation"]) == 0
         out = capsys.readouterr().out
         assert "ACCUMULATION center=0 time=2+1*sqrt(2) ratio=-1+1*sqrt(2)" in out
+
+    @pytest.mark.parametrize(
+        "system, events",
+        [
+            (["--preset", "gcd", "--a", "1", "--b=-1+1*sqrt(2)"], 16),
+            (["--preset", "gcd", "--a", "1", "--b=-1+1*sqrt(3)"], 16),
+            (["--preset", "sm4"], 4),
+            (["--preset", "gcd-phi"], 8),
+        ],
+    )
+    def test_the_certifier_tests_no_pair_twice(self, system, events, capsys, monkeypatch):
+        # the probes at 4, 8, 16, ... events feed one search, so the run
+        # tests exactly the pairs of one search over the states it recorded
+        tested, real = [], analysis._homothety
+
+        def homothety(s1, s2):
+            tested.append((s1.time, s2.time))
+            return real(s1, s2)
+
+        monkeypatch.setattr(analysis, "_homothety", homothety)
+        assert main(["run", *system, "--detect-accumulation"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"halt: certified_accumulation after {events} events"
+        by_cli = tested[:]
+        tested.clear()
+        (machine, config), _ = cli._load_system(cli._parse_args(["run", *system]))
+        cert = detect_contraction(run(machine, config, RunLimits(max_events=events)))
+        assert out[1] == cert.serialize()
+        assert by_cli == tested
 
     def test_mixed_radical_operands_are_rejected(self, capsys):
         argv = ["run", "--preset", "gcd", "--a", "1*sqrt(3)", "--b=-1+1*sqrt(2)"]
@@ -240,6 +271,25 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: horizon must be >= 0\n"
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            (["gcd", "--count", "0"], "--count"),
+            (["gcd", "--count", "-3"], "--count"),
+            (["2speed-exhaustive", "--count", "2"], "--count"),
+            (["2speed-exhaustive", "--seed", "5"], "--seed"),
+            (["gcd", "--count", "2", "--horizon", "3"], "--horizon"),
+            (["scheduler", "--horizon", "3"], "--horizon"),
+        ],
+    )
+    def test_options_that_do_not_fit_the_suite_exit_1(self, options, named, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["verify", *options])
+        assert stop.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {named}: " in captured.err
 
     def test_exhaustive_two_speed(self, capsys):
         assert main(["verify", "2speed-exhaustive"]) == 0

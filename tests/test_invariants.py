@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from sigmach.analysis import detect_contraction, two_speed_bound_check
-from sigmach.engine import QUIESCENT, RunLimits, configuration_at, run
+import sigmach.analysis as analysis
+from sigmach.analysis import ContractionSearch, detect_contraction, two_speed_bound_check
+from sigmach.engine import QUIESCENT, RunLimits, RunState, _Snapshots, configuration_at, run
 from sigmach.mesh import StripSpec, central_collision, strip_configuration, support_machine_nu
 from sigmach.model import InitialConfiguration, SignalMachine
 from sigmach.presets import build_sm4
@@ -83,11 +84,35 @@ def test_two_speed_bound_holds_for_arbitrary_rule_tables():
         assert report.count <= report.bound
 
 
-def test_contraction_search_budget_is_respected():
+def test_contraction_search_budget_is_respected(monkeypatch):
+    """`search_budget` counts the pairs tested, in (t2, then t1) order, so
+    the least budget that certifies is the number of pairs up to the match."""
     machine, config = build_sm4()
     diagram = run(machine, config, RunLimits(max_events=40))
-    assert detect_contraction(diagram, search_budget=0) is None
     assert detect_contraction(diagram, search_budget=10**6) is not None
+    least = next(b for b in range(100) if detect_contraction(diagram, search_budget=b) is not None)
+    assert detect_contraction(diagram, search_budget=least - 1) is None
+    tested, real = [], analysis._homothety
+    monkeypatch.setattr(analysis, "_homothety", lambda s1, s2: tested.append(s1) or real(s1, s2))
+    cert = detect_contraction(diagram)
+    assert least == len(tested) == 1
+    assert detect_contraction(diagram, search_budget=least) == cert
+
+
+def test_the_search_answers_the_least_t2_then_the_least_t1():
+    # four states of one shape, two sites spanning 10, 20, 15 and 5: states
+    # (1, 2) contract by 3/4 and (0, 3) by 1/2, and (1, 2) has the least t2
+    machine, _ = build_sm4()
+    a, b = (frozenset((ms,)) for ms in machine.signals[:2])
+    snaps = _Snapshots((), ())
+    for t, span in enumerate((10, 20, 15, 5)):
+        snaps.append(RunState(Q.scalar(t), ((Q.zero(), a), (Q.scalar(span), b))))
+    cert = ContractionSearch().feed(snaps)
+    assert (cert.t1, cert.t2, cert.ratio) == (Q.scalar(1), Q.scalar(2), Q.scalar(Fraction(3, 4)))
+    assert cert.center_x == Q.zero()
+    # tested before the match: (0, 1) and (0, 2)
+    assert ContractionSearch(search_budget=2).feed(snaps) is None
+    assert ContractionSearch(search_budget=3).feed(snaps) == cert
 
 
 def test_snapshot_count_tracks_advances_not_events():
