@@ -33,7 +33,7 @@ from .presets import (
     read_encoded_value,  # noqa: F401  (kept importable here: bench/tracing.py patches it)
 )
 from .scalars import FieldContext, format_scalar
-from .svg import RenderOptions, render_diagram
+from .svg import render_diagram
 from .textio import MachineParseError, event_log_lines, parse_machine_file
 from .verify import SUITES, suite_2speed_exhaustive
 
@@ -122,7 +122,7 @@ def _cmd_run(args) -> int:
         probe = {"next": 4}
 
         def certifier(snapshots):
-            count = snapshots[-1].event_count
+            count = snapshots.event_count(-1)
             if count < probe["next"]:
                 return None
             probe["next"] = count * 2
@@ -152,12 +152,16 @@ def _cmd_run(args) -> int:
             print(f"readout failed: {e}", file=sys.stderr)
             return 1
 
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(event_log_lines(diagram)) + "\n")
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_diagram(diagram, RenderOptions(), accum_point))
+    try:
+        if args.log:
+            with open(args.log, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(event_log_lines(diagram)) + "\n")
+        if args.svg:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render_diagram(diagram, accum_point))
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
     if diagram.halt_reason == MISSING_RULE:
         print(f"missing rule: {diagram.halt_detail}", file=sys.stderr)

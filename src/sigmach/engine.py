@@ -9,8 +9,9 @@ its next meeting against a brute-force all-pairs oracle through
 `next_collision_delta`, and whole runs against `verify.brute_force_run`.  All
 collision coordinates are exact scalars, so simultaneous and multi-way
 collisions group by exact meeting time with no tie-breaking.  A run records
-only the live lines after each step; `SpaceTimeDiagram.snapshots` builds the
-`RunState` of a step the first time it is read.
+only the live lines after each step; `SpaceTimeDiagram.snapshots` is the one
+reader of that record.  It builds the `RunState` of a step the first time it
+is read, and `configuration_at` and the final state come from it too.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class SpaceTimeDiagram:
         initial: InitialConfiguration,
         events: list[Event],
         segments: list[Segment],
-        snapshots: Sequence[RunState],
+        snapshots: _Snapshots,
         final_state: RunState,
         halt_reason: str,
         halt_detail: Optional[MissingRuleError] = None,
@@ -215,35 +216,49 @@ def _state(
 
 class _Snapshots:
     """The post-event states of a run, as a read-only sequence.  A step
-    records only its live lines; a state is built the first time it is read
-    and replaces its record, and its shape can be read without building it."""
+    records only its live lines; the records are kept as appended, and a
+    state is built beside its record the first time it is read.  Times,
+    event counts and shapes are read from the records without a build."""
 
-    __slots__ = ("_items", "_speeds", "_segments")
+    __slots__ = ("_records", "_states", "_speeds", "_segments")
 
     def __init__(self, speeds: Sequence[Scalar], segments: Sequence[Segment]) -> None:
-        self._items: list[_Record | RunState] = []
+        self._records: list[_Record] = []
+        self._states: list[Optional[RunState]] = []
         self._speeds = speeds
         self._segments = segments
 
-    def append(self, item: _Record | RunState) -> None:
-        self._items.append(item)
+    def append(self, record: _Record) -> None:
+        self._records.append(record)
+        self._states.append(None)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._records)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self._items)))]
-        item = self._items[i]
-        if type(item) is tuple:
-            item = self._items[i] = _state(item, self._speeds, self._segments)
-        return item
+            return [self[k] for k in range(*i.indices(len(self._records)))]
+        state = self._states[i]
+        if state is None:
+            state = self._states[i] = _state(self._records[i], self._speeds, self._segments)
+        return state
 
     def shape(self, i: int) -> tuple[frozenset[MetaSignal], ...]:
-        """The signal sets of state i's sites, left to right; builds no state."""
-        item = self._items[i]
-        sites = _sites(item) if type(item) is tuple else item.sites
-        return tuple(sigs for _, sigs in sites)
+        """The signal sets of state i's sites, left to right."""
+        return tuple(sigs for _, sigs in _sites(self._records[i]))
+
+    def event_count(self, i: int) -> int:
+        return self._records[i][1]
+
+    def at(self, t: Scalar) -> RunState:
+        """The state at time t >= 0, up to the next step after it: the
+        recorded state at a step's own time, else the last step's lines
+        moved to t, where none is still at its birth point."""
+        i = bisect.bisect_right(self._records, t, key=lambda r: r[0]) - 1
+        time, count, _, lines = self._records[i]
+        if time == t:
+            return self[i]
+        return _state((t, count, len(self._segments), lines), self._speeds, self._segments)
 
 
 class _Runner:
@@ -367,17 +382,8 @@ class _Runner:
             shift += len(lines) - (end - start)
         self.push_pairs(sorted(i for i in lefts if 0 <= i < len(order) - 1))
 
-    def drift(self, t: Scalar) -> None:
-        """Move the clock to t, before the next meeting; no line changes."""
-        if t != self.time:
-            self.time = t
-            self.fresh = len(self.segments)
-
     def record(self) -> _Record:
         return self.time, self.event_count, self.fresh, tuple(self.order)
-
-    def state(self) -> RunState:
-        return _state(self.record(), self.speeds, self.segments)
 
 
 def next_collision_delta(
@@ -405,7 +411,7 @@ def advance(machine: SignalMachine, state: RunState) -> tuple[RunState, list[Eve
     if t is None:
         raise ValueError("no further collision: delta is infinite")
     runner.step(t)
-    return runner.state(), runner.events
+    return _state(runner.record(), runner.speeds, runner.segments), runner.events
 
 
 # -- full runs ------------------------------------------------------------------
@@ -438,7 +444,6 @@ def run(
             halt_reason = QUIESCENT
             break
         if limits.max_time is not None and t > limits.max_time:
-            runner.drift(limits.max_time)
             halt_reason = TIME_LIMIT
             break
         try:
@@ -461,7 +466,7 @@ def run(
         runner.events,
         runner.segments,
         snapshots,
-        runner.state(),
+        snapshots.at(limits.max_time) if halt_reason == TIME_LIMIT else snapshots[-1],
         halt_reason,
         halt_detail,
         certificate,
@@ -470,17 +475,9 @@ def run(
 
 def configuration_at(diagram: SpaceTimeDiagram, t: Scalar) -> RunState:
     """Exact configuration at time t, right-continuous at event instants
-    (a collision reports its outgoing signals)."""
+    (a collision reports its outgoing signals), read from the record."""
+    if t.sign() < 0:
+        raise ValueError(f"time {t} precedes the initial configuration")
     if not diagram.covers(t):
         raise ValueError(f"time {t} is beyond the recorded horizon")
-    snaps = diagram.snapshots
-    i = bisect.bisect_right(snaps, t, key=lambda s: s.time) - 1
-    if i < 0:
-        raise ValueError(f"time {t} precedes the initial configuration")
-    base = snaps[i]
-    if base.time == t:
-        return base
-    # strictly before the next event, so the drift resolves no collision
-    runner = _Runner(diagram.machine, base.sites, base.time, base.event_count)
-    runner.drift(t)
-    return runner.state()
+    return diagram.snapshots.at(t)

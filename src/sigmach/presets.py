@@ -324,12 +324,12 @@ def wall_trace(diagram: SpaceTimeDiagram) -> list[WallStep]:
         zig = machine.by_name("zig")
     except MachineError:
         raise ValueError("wall traces need the gcd machine's wall/zig signals")
-    restart_left = frozenset({wall0, zig})
+    restart = (frozenset({wall0, zig}), frozenset({wall_b}), frozenset({wall_a}))
+    snaps = diagram.snapshots
     steps: list[WallStep] = []
-    for snap in diagram.snapshots:
-        if len(snap.sites) != 3:
-            continue
-        (p0, s0), (p1, s1), (p2, s2) = snap.sites
-        if s0 == restart_left and s1 == frozenset({wall_b}) and s2 == frozenset({wall_a}):
+    for i in range(len(snaps)):
+        if snaps.shape(i) == restart:  # build only the states that match
+            snap = snaps[i]
+            (p0, _), (p1, _), (p2, _) = snap.sites
             steps.append(WallStep(snap.time, p2 - p0, p1 - p0))
     return steps

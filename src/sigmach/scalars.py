@@ -13,6 +13,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -101,13 +102,32 @@ _RE_FULL = re.compile(
 )
 
 
-def _parse_rational(text: str) -> Fraction:
+def _int(digits: str) -> int:
+    """int(digits), also past CPython's cap on int <-> str conversion (4300
+    digits by default): longer integers are read through decimal, which has
+    no such cap."""
     try:
-        return Fraction(text)
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
+
+
+def _rational_text(q: Fraction) -> str:
+    """str(q), also past that cap, through decimal."""
+    try:
+        return str(q)
+    except ValueError:
+        n = str(Decimal(q.numerator))
+        return n if q.denominator == 1 else f"{n}/{Decimal(q.denominator)}"
+
+
+def _parse_rational(text: str) -> Fraction:
+    """p or p/q, digits already checked by the caller's pattern."""
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(_int(num), _int(den or "1"))
     except ZeroDivisionError:
         raise ScalarSyntaxError(f"division by zero in {text!r}") from None
-    except ValueError:
-        raise ScalarSyntaxError(f"not a rational: {text!r}") from None
 
 
 def parse_scalar(text: str, ctx: FieldContext = RATIONALS) -> Scalar:
@@ -132,12 +152,11 @@ def parse_scalar(text: str, ctx: FieldContext = RATIONALS) -> Scalar:
 
 def format_scalar(x: Scalar) -> str:
     if x.b == 0:
-        return str(x.a)
-    b_txt = f"{x.b}*sqrt({x.d})"
+        return _rational_text(x.a)
     if x.a == 0:
-        return b_txt
+        return f"{_rational_text(x.b)}*sqrt({x.d})"
     sign = "+" if x.b > 0 else "-"
-    return f"{x.a}{sign}{abs(x.b)}*sqrt({x.d})"
+    return f"{_rational_text(x.a)}{sign}{_rational_text(abs(x.b))}*sqrt({x.d})"
 
 
 def _sign_parts(an: int, ad: int, bn: int, bd: int, d: int) -> int:

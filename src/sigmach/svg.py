@@ -7,12 +7,12 @@ documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import SpaceTimeDiagram
 from .scalars import Scalar
 
+WIDTH, HEIGHT = 800, 600  # pixels
 _PALETTE = [
     "#1f77b4",
     "#d62728",
@@ -27,32 +27,16 @@ _PALETTE = [
 ]
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    width_px: int = 800
-    height_px: int = 600
-    time_up: bool = True
-    color_map: dict[str, str] = field(default_factory=dict)
-    decimal_digits: int = 3
-
-    def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError("render dimensions must be positive")
-
-
 def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
 def render_diagram(
-    diagram: SpaceTimeDiagram,
-    options: RenderOptions | None = None,
-    accumulation: Optional[tuple[Scalar, Scalar]] = None,
+    diagram: SpaceTimeDiagram, accumulation: Optional[tuple[Scalar, Scalar]] = None
 ) -> str:
-    """One polyline per signal segment, a dot per collision, labeled axes.
-    A certified accumulation point, if given, is drawn as a marked cross
-    even though no event exists there."""
-    opt = options or RenderOptions()
+    """One polyline per signal segment, a dot per collision, labeled axes
+    with three decimals, time upward.  A certified accumulation point, if
+    given, is drawn as a marked cross even though no event exists there."""
     sp = diagram.machine.speed_of
 
     xs: list[float] = []
@@ -74,7 +58,7 @@ def render_diagram(
         if t1 < t0:
             continue
         x0 = float(seg.birth_position)
-        x1 = float(seg.birth_position + v * ((seg.death_time if seg.death_time is not None else end_time) - seg.birth_time))
+        x1 = float(seg.position_at(end_time if seg.death_time is None else seg.death_time, v))
         segs.append((seg.signal.name, x0, t0, x1, t1))
         xs += [x0, x1]
         ts += [t0, t1]
@@ -99,32 +83,28 @@ def render_diagram(
     x_lo, x_hi = x_lo - mx, x_hi + mx
     t_lo, t_hi = t_lo - mt, t_hi + mt
 
-    w, h = opt.width_px, opt.height_px
+    w, h = WIDTH, HEIGHT
 
     def px(x: float) -> float:
         return (x - x_lo) / (x_hi - x_lo) * w
 
     def py(t: float) -> float:
-        frac = (t - t_lo) / (t_hi - t_lo)
-        return h - frac * h if opt.time_up else frac * h
+        return h - (t - t_lo) / (t_hi - t_lo) * h
 
-    colors: dict[str, str] = dict(opt.color_map)
-    for i, ms in enumerate(diagram.machine.signals):
-        colors.setdefault(ms.name, _PALETTE[i % len(_PALETTE)])
+    colors = {ms.name: _PALETTE[i % len(_PALETTE)] for i, ms in enumerate(diagram.machine.signals)}
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
-    dd = opt.decimal_digits
     out.append(
         f'<text x="{w - 4}" y="{h - 4}" text-anchor="end" font-size="10" '
-        f'fill="#333">space {x_lo:.{dd}f} .. {x_hi:.{dd}f}</text>'
+        f'fill="#333">space {x_lo:.3f} .. {x_hi:.3f}</text>'
     )
     out.append(
         f'<text x="4" y="12" font-size="10" fill="#333">'
-        f"time {t_lo:.{dd}f} .. {t_hi:.{dd}f}</text>"
+        f"time {t_lo:.3f} .. {t_hi:.3f}</text>"
     )
     for name, x0, t0, x1, t1 in segs:
         out.append(

@@ -7,11 +7,13 @@ import pytest
 
 import sigmach
 import sigmach.analysis as analysis
+import sigmach.engine as engine
 from sigmach import cli, verify
 from sigmach.analysis import detect_contraction
 from sigmach.cli import main
-from sigmach.svg import RenderOptions, render_diagram
+from sigmach.svg import render_diagram
 from sigmach.engine import RunLimits, run
+from sigmach.scalars import parse_scalar
 from sigmach.presets import build_sm4
 from sigmach.verify import SUITES
 
@@ -115,6 +117,23 @@ class TestRunCommand:
         assert out[1] == cert.serialize()
         assert by_cli == tested
 
+    def test_the_certifier_builds_only_the_states_it_compares(self, capsys, monkeypatch):
+        # states are told apart by their event counts; the final state is
+        # the only one built that no comparison asked for
+        built, compared = [], set()
+        real_state, real_homothety = engine._state, analysis._homothety
+
+        def homothety(s1, s2):
+            compared.update((s1.event_count, s2.event_count))
+            return real_homothety(s1, s2)
+
+        monkeypatch.setattr(engine, "_state", lambda record, *rest: built.append(record[1]) or real_state(record, *rest))
+        monkeypatch.setattr(analysis, "_homothety", homothety)
+        argv = ["run", "--preset", "gcd", "--a", "1", "--b=-2+1*sqrt(7)", "--detect-accumulation"]
+        assert main(argv) == 0
+        events = int(capsys.readouterr().out.split()[3])
+        assert sorted(built) == sorted(compared | {events})
+
     def test_mixed_radical_operands_are_rejected(self, capsys):
         argv = ["run", "--preset", "gcd", "--a", "1*sqrt(3)", "--b=-1+1*sqrt(2)"]
         assert main(argv) == 1
@@ -134,6 +153,17 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "halt:" not in captured.out
+
+    def test_a_position_past_the_int_str_digit_limit(self, tmp_path, capsys):
+        far = "9" * 4400
+        machine = tmp_path / "far.machine"
+        machine.write_text(f"signal a 1\nsignal b 0\nrule a,b -> b\ninit a@0\ninit b@{far}\n")
+        log = tmp_path / "far.log"
+        assert main(["run", "--file", str(machine), "--log", str(log)]) == 0
+        assert capsys.readouterr().out == "halt: quiescent after 1 events\n"
+        _, _, time, position, *_ = log.read_text().split()
+        assert parse_scalar(time) == parse_scalar(position) == parse_scalar(far)
+        assert parse_scalar(position) == 10**4400 - 1
 
     def test_missing_rule_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.machine"
@@ -171,13 +201,21 @@ class TestRunCommand:
         assert log.read_text().startswith("E 0 ")
         assert svg.read_text().startswith("<svg ")
 
+    @pytest.mark.parametrize("option", ["--log", "--svg"])
+    def test_unwritable_output_path_exits_1(self, option, tmp_path, capsys):
+        path = tmp_path / "missing" / "out"
+        assert main(["run", "--preset", "sm4", "--max-events", "5", option, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "halt: event_limit after 5 events\n"
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+
 
 class TestDeterminism:
     def test_svg_bytes_are_reproducible(self):
         machine, config = build_sm4()
         d1 = run(machine, config, RunLimits(max_events=12))
         d2 = run(machine, config, RunLimits(max_events=12))
-        assert render_diagram(d1, RenderOptions()) == render_diagram(d2, RenderOptions())
+        assert render_diagram(d1) == render_diagram(d2)
 
     def test_svg_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
         src = str(Path(sigmach.__file__).resolve().parent.parent)

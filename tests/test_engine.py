@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sigmach.engine as engine
 from sigmach.engine import (
     EVENT_LIMIT,
     MISSING_RULE,
@@ -246,6 +247,34 @@ class TestConfigurationAt:
         diagram = run(machine, config, RunLimits(max_events=3))
         with pytest.raises(ValueError):
             configuration_at(diagram, diagram.final_state.time + 1)
+
+    def test_negative_time_precedes_the_initial_configuration(self):
+        machine, config = build_sm4()
+        diagram = run(machine, config, RunLimits(max_events=3))
+        with pytest.raises(ValueError, match="time -1 precedes the initial configuration"):
+            configuration_at(diagram, Q.scalar(-1))
+
+    def test_reads_the_record_and_builds_at_most_one_state(self, monkeypatch):
+        machine, config = build_gcd(37, 5)
+        diagram = run(machine, config)
+        step_times = sorted({e.time for e in diagram.events} | {Q.zero()})
+
+        def no_scheduler(*_):
+            raise AssertionError("a scheduler was started")
+
+        built, real = [], engine._state
+        monkeypatch.setattr(engine, "_Runner", no_scheduler)
+        monkeypatch.setattr(engine, "_state", lambda record, *rest: built.append(record[0]) or real(record, *rest))
+        for t, later in zip(step_times, step_times[1:]):
+            assert configuration_at(diagram, t).time == t
+            assert built in ([], [t])  # the step's own state, once
+            built.clear()
+            assert configuration_at(diagram, t).time == t
+            assert built == []
+            mid = (t + later) / 2
+            assert configuration_at(diagram, mid).time == mid
+            assert built == [mid]
+            built.clear()
 
     def test_quiescent_diagram_extends_forever(self):
         machine, config = build_modulo(11, 3)

@@ -7,7 +7,7 @@ import pytest
 
 import sigmach.analysis as analysis
 from sigmach.analysis import ContractionSearch, detect_contraction, two_speed_bound_check
-from sigmach.engine import QUIESCENT, RunLimits, RunState, _Snapshots, configuration_at, run
+from sigmach.engine import QUIESCENT, RunLimits, RunState, configuration_at, run
 from sigmach.mesh import StripSpec, central_collision, strip_configuration, support_machine_nu
 from sigmach.model import InitialConfiguration, SignalMachine
 from sigmach.presets import build_sm4
@@ -99,14 +99,22 @@ def test_contraction_search_budget_is_respected(monkeypatch):
     assert detect_contraction(diagram, search_budget=least) == cert
 
 
+class _HandBuilt(list):
+    """Hand-built states, offered as a search reads a run's snapshots."""
+
+    def shape(self, i):
+        return tuple(sigs for _, sigs in self[i].sites)
+
+
 def test_the_search_answers_the_least_t2_then_the_least_t1():
     # four states of one shape, two sites spanning 10, 20, 15 and 5: states
     # (1, 2) contract by 3/4 and (0, 3) by 1/2, and (1, 2) has the least t2
     machine, _ = build_sm4()
     a, b = (frozenset((ms,)) for ms in machine.signals[:2])
-    snaps = _Snapshots((), ())
-    for t, span in enumerate((10, 20, 15, 5)):
-        snaps.append(RunState(Q.scalar(t), ((Q.zero(), a), (Q.scalar(span), b))))
+    snaps = _HandBuilt(
+        RunState(Q.scalar(t), ((Q.zero(), a), (Q.scalar(span), b)))
+        for t, span in enumerate((10, 20, 15, 5))
+    )
     cert = ContractionSearch().feed(snaps)
     assert (cert.t1, cert.t2, cert.ratio) == (Q.scalar(1), Q.scalar(2), Q.scalar(Fraction(3, 4)))
     assert cert.center_x == Q.zero()

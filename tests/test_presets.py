@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import sigmach.engine as engine
 from sigmach.engine import EVENT_LIMIT, QUIESCENT, RunLimits, run
 from sigmach.model import validate
 from sigmach.presets import (
@@ -175,6 +176,15 @@ class TestWallTrace:
         for step in steps:
             assert step.time == acc * 2
             acc = acc + step.a
+
+    def test_builds_only_the_restart_states(self, monkeypatch):
+        machine, config = build_gcd(1000, 3)
+        diagram = run(machine, config)
+        built, real = [], engine._state
+        monkeypatch.setattr(engine, "_state", lambda record, *rest: built.append(record[0]) or real(record, *rest))
+        steps = wall_trace(diagram)
+        assert len(diagram.snapshots) > 1000
+        assert built == [step.time for step in steps] and len(steps) == 2
 
 
 @pytest.fixture(scope="module")

@@ -277,6 +277,19 @@ class TestTextFormat:
         assert format_scalar(PHI) == "1/2+1/2*sqrt(5)"
         assert format_scalar(Q5.scalar(0, -1)) == "-1*sqrt(5)"
 
+    @pytest.mark.parametrize("ctx", [Q, Q5])
+    def test_round_trip_past_the_int_str_digit_limit(self, ctx):
+        # CPython refuses int <-> str past 4300 digits by default
+        big = 10**4999 + 12345
+        assert format_scalar(ctx.scalar(10**4999)) == "1" + "0" * 4999
+        values = [ctx.scalar(-big), ctx.scalar(Fraction(big, 3 * big + 2))]
+        if ctx.d:
+            values += [ctx.scalar(Fraction(2, 7), big), ctx.scalar(big, Fraction(-1, big))]
+        for x in values:
+            text = format_scalar(x)
+            assert len(text) > 5000
+            assert parse_scalar(text, ctx) == x
+
     def test_division_by_zero_literal(self):
         with pytest.raises(ScalarSyntaxError):
             parse_scalar("1/0", Q)
