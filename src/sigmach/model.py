@@ -9,8 +9,9 @@ affine speed maps, support machines and speed normalization.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .scalars import FieldContext, Scalar, ScalarLike, as_scalar, is_commensurate
 
@@ -29,7 +30,43 @@ class MetaSignal:
 
 
 class MachineError(ValueError):
-    pass
+    """A broken definition condition: its `reason` and, from a builder, the
+    `entry` at fault, ("signal" | "rule" | "init", index in input order)."""
+
+    def __init__(self, reason: str, entry: tuple[str, int] | None = None) -> None:
+        super().__init__(reason)
+        self.reason, self.entry = reason, entry
+
+
+# The definition conditions, each stated once: the builders check their
+# entries in input order, and `validate` checks machines built some other way.
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
+
+
+def _signal_fault(name: str, declared: Container[str]) -> str | None:
+    if not NAME.fullmatch(name):
+        return f"bad meta-signal name {name!r}"
+    return f"duplicate meta-signal {name!r}" if name in declared else None
+
+
+def _unknown(name: object) -> str:
+    return f"unknown meta-signal {str(name)!r}"
+
+
+def _rule_fault(speed: Mapping, ins: Sequence, outs: Sequence) -> str | None:
+    """The first condition a rule breaks, in the order arity, declared
+    signals, distinct input speeds, distinct output speeds; `speed` keys the
+    declared signals (names or meta-signals), and a signal written twice
+    counts twice."""
+    if len(ins) < 2:
+        return "rule needs at least two incoming signals"
+    for sig in (*ins, *outs):
+        if sig not in speed:
+            return _unknown(sig)
+    for side, group in (("input", ins), ("output", outs)):
+        if len({speed[sig] for sig in group}) < len(group):
+            return f"{side} speeds not distinct in {','.join(map(str, group))}"
+    return None
 
 
 class SignalMachine:
@@ -60,40 +97,35 @@ class SignalMachine:
         rules: Iterable[tuple[Sequence[str], Sequence[str]]] = (),
         ctx: FieldContext | None = None,
     ) -> "SignalMachine":
-        """Assemble a machine from (name, speed) pairs and name-based rules;
-        raises MachineError with the first violation `validate` reports."""
+        """Assemble a machine from (name, speed) pairs and name-based rules.
+        Signals, then rules, are checked in input order; the first that
+        breaks a condition raises MachineError with its entry."""
         ctx = ctx or FieldContext(0)
-        signals: list[MetaSignal] = []
-        speed_map: dict[MetaSignal, Scalar] = {}
-        seen: dict[str, MetaSignal] = {}
+        by_name: dict[str, MetaSignal] = {}
+        speed_of: dict[str, Scalar] = {}
         for i, (name, sp) in enumerate(speeds):
-            if name in seen:
-                raise MachineError(f"duplicate meta-signal name {name!r}")
-            ms = MetaSignal(name, i)
-            seen[name] = ms
-            signals.append(ms)
-            speed_map[ms] = ctx.parse(sp) if isinstance(sp, str) else as_scalar(sp, ctx)
+            fault = _signal_fault(name, by_name)
+            if fault:
+                raise MachineError(fault, ("signal", i))
+            by_name[name] = MetaSignal(name, i)
+            speed_of[name] = ctx.parse(sp) if isinstance(sp, str) else as_scalar(sp, ctx)
         rule_map: dict[RuleKey, frozenset[MetaSignal]] = {}
-        for ins, outs in rules:
-            try:
-                key = frozenset(seen[n] for n in ins)
-                val = frozenset(seen[n] for n in outs)
-            except KeyError as e:
-                raise MachineError(f"rule references unknown meta-signal {e.args[0]!r}")
+        for i, (ins, outs) in enumerate(rules):
+            fault = _rule_fault(speed_of, ins, outs)
+            if fault:
+                raise MachineError(fault, ("rule", i))
+            key = frozenset(by_name[n] for n in ins)
             if key in rule_map:
-                raise MachineError(f"duplicate rule for {sorted(n for n in ins)}")
-            rule_map[key] = val
-        machine = cls(ctx, signals, speed_map, rule_map)
-        problems = validate(machine)
-        if problems:
-            raise MachineError(problems[0])
-        return machine
+                raise MachineError(f"duplicate rule for {sorted(set(ins))}", ("rule", i))
+            rule_map[key] = frozenset(by_name[n] for n in outs)
+        speed_map = {by_name[n]: sp for n, sp in speed_of.items()}
+        return cls(ctx, by_name.values(), speed_map, rule_map)
 
     def by_name(self, name: str) -> MetaSignal:
         try:
             return self._by_name[name]
         except KeyError:
-            raise MachineError(f"unknown meta-signal {name!r}") from None
+            raise MachineError(_unknown(name)) from None
 
     def speed_of(self, ms: MetaSignal) -> Scalar:
         return self.speed[ms]
@@ -131,21 +163,22 @@ class InitialConfiguration:
         machine: SignalMachine,
         placements: Iterable[tuple[str | MetaSignal, ScalarLike | str]],
     ) -> "InitialConfiguration":
-        by_pos: dict[Scalar, set[MetaSignal]] = {}
-        for sig, pos in placements:
-            ms = machine.by_name(sig) if isinstance(sig, str) else sig
+        """Checks placements in input order: each names a declared signal
+        whose speed is not yet at its position."""
+        by_pos: dict[Scalar, dict[MetaSignal, Scalar]] = {}
+        for i, (sig, pos) in enumerate(placements):
+            ms = machine._by_name.get(sig) if isinstance(sig, str) else sig
+            if ms is None:
+                raise MachineError(_unknown(sig), ("init", i))
             p = machine.ctx.parse(pos) if isinstance(pos, str) else as_scalar(pos, machine.ctx)
-            by_pos.setdefault(p, set()).add(ms)
-        sites: list[Site] = []
-        for p in sorted(by_pos):
-            group = by_pos[p]
-            if len({machine.speed_of(ms) for ms in group}) < len(group):
+            here = by_pos.setdefault(p, {})
+            if ms not in here and machine.speed_of(ms) in here.values():
+                names = sorted(m.name for m in [*here, ms])
                 raise MachineError(
-                    f"co-located signals with equal speed at {p}: "
-                    f"{sorted(ms.name for ms in group)}"
+                    f"co-located signals with equal speed at {p}: {names}", ("init", i)
                 )
-            sites.append((p, frozenset(group)))
-        return cls(sites)
+            here[ms] = machine.speed_of(ms)
+        return cls([(p, frozenset(by_pos[p])) for p in sorted(by_pos)])
 
     def positions(self) -> tuple[Scalar, ...]:
         return tuple(p for p, _ in self.sites)
@@ -173,32 +206,23 @@ class InitialConfiguration:
 
 
 def validate(machine: SignalMachine) -> list[str]:
-    """Check the machine-definition conditions; returns human-readable
-    violations instead of raising, one entry per offending rule or pair."""
-    violations: list[str] = []
-    names = [s.name for s in machine.signals]
-    if len(set(names)) != len(names):
-        violations.append("duplicate meta-signal names")
+    """The definition conditions a machine built some other way than
+    `build` breaks: one reason per bad signal, then one per bad rule, led
+    by the rule as the text format writes it (signals in name order)."""
+    problems: list[str] = []
+    declared: set[str] = set()
     for ms in machine.signals:
-        if ms not in machine.speed:
-            violations.append(f"missing speed for {ms.name}")
-    for key, out in machine.rules.items():
-        label = "{" + ",".join(sorted(m.name for m in key)) + "}"
-        if len(key) < 2:
-            violations.append(f"rule {label}: input arity < 2")
-        if not _distinct_speeds(machine, key):
-            violations.append(f"rule {label}: input speeds not distinct")
-        if not _distinct_speeds(machine, out):
-            violations.append(f"rule {label}: output speeds not distinct")
-        for ms in key | out:
-            if ms not in machine.speed:
-                violations.append(f"rule {label}: unknown meta-signal {ms.name}")
-    return violations
-
-
-def _distinct_speeds(machine: SignalMachine, group: Iterable[MetaSignal]) -> bool:
-    speeds = [machine.speed[ms] for ms in group if ms in machine.speed]
-    return len(set(speeds)) == len(speeds)
+        fault = _signal_fault(ms.name, declared)
+        if fault:
+            problems.append(fault)
+        declared.add(ms.name)
+    for key, value in machine.rules.items():
+        ins, outs = (sorted(group, key=lambda m: m.name) for group in (key, value))
+        fault = _rule_fault(machine.speed, ins, outs)
+        if fault:
+            rule = f"{','.join(m.name for m in ins)} -> {','.join(m.name for m in outs)}"
+            problems.append(f"rule {rule}: {fault}")
+    return problems
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,8 @@ from __future__ import annotations
 import re
 
 from .engine import Event, SpaceTimeDiagram
-from .model import InitialConfiguration, MachineError, SignalMachine
+from .model import NAME, InitialConfiguration, MachineError, SignalMachine
 from .scalars import FieldContext, Scalar, format_scalar
-
-_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 
 
 class MachineParseError(ValueError):
@@ -30,14 +28,17 @@ class MachineParseError(ValueError):
 
 
 def parse_machine_file(text: str) -> tuple[SignalMachine, InitialConfiguration]:
-    """Parse a machine definition plus its initial configuration."""
+    """Parse a machine definition plus its initial configuration.
+
+    The parser reads syntax only: directives, tokens, scalar literals and
+    `field` first.  The builders in `model` check every definition
+    condition; a fault they raise is reported at its entry's line."""
     ctx = FieldContext(0)
     field_set = False
-    speeds: list[tuple[str, str]] = []
-    speed_of: dict[str, Scalar] = {}
+    speeds: list[tuple[str, Scalar]] = []
     rules: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
     inits: list[tuple[str, Scalar]] = []
-    placed: dict[Scalar, dict[str, Scalar]] = {}  # position -> name -> speed
+    line_of: dict[str, list[int]] = {"signal": [], "rule": [], "init": []}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -55,67 +56,41 @@ def parse_machine_file(text: str) -> tuple[SignalMachine, InitialConfiguration]:
                 raise MachineParseError(line_no, f"expected 'field sqrt <d>', got {rest!r}")
             ctx = FieldContext(int(m.group(1)))
             field_set = True
-        elif head == "signal":
+            continue
+        if head == "signal":
             parts = rest.split(None, 1)
             if len(parts) != 2:
                 raise MachineParseError(line_no, "expected 'signal <name> <speed>'")
             name, speed_txt = parts
-            if not _NAME.match(name):
-                raise MachineParseError(line_no, f"bad meta-signal name {name!r}")
-            if name in speed_of:
-                raise MachineParseError(line_no, f"duplicate meta-signal {name!r}")
             try:
-                speed_of[name] = ctx.parse(speed_txt)
+                speeds.append((name, ctx.parse(speed_txt)))
             except ValueError as e:
                 raise MachineParseError(line_no, f"bad speed for {name!r}: {e}")
-            speeds.append((name, speed_txt))
         elif head == "rule":
             if "->" not in rest:
                 raise MachineParseError(line_no, "expected 'rule in[,in...] -> out[,out...]'")
             left, right = rest.split("->", 1)
             ins = tuple(s.strip() for s in left.split(",") if s.strip())
             outs = tuple(s.strip() for s in right.split(",") if s.strip())
-            if len(ins) < 2:
-                raise MachineParseError(line_no, "rule needs at least two incoming signals")
-            for n in ins + outs:
-                if n not in speed_of:
-                    raise MachineParseError(line_no, f"unknown meta-signal {n!r}")
-            for side, group in (("input", ins), ("output", outs)):
-                if len({speed_of[n] for n in group}) < len(group):
-                    raise MachineParseError(
-                        line_no, f"{side} speeds not distinct in {','.join(group)}"
-                    )
-            if any(frozenset(ins) == frozenset(i) for i, _ in rules):
-                raise MachineParseError(line_no, f"duplicate rule for {sorted(set(ins))}")
             rules.append((ins, outs))
         elif head == "init":
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_\-]*)@(\S+)", rest)
+            m = re.fullmatch(rf"({NAME.pattern})@(\S+)", rest)
             if not m:
                 raise MachineParseError(line_no, "expected 'init <name>@<position>'")
-            name, pos_txt = m.group(1), m.group(2)
-            if name not in speed_of:
-                raise MachineParseError(line_no, f"unknown meta-signal {name!r}")
             try:
-                pos = ctx.parse(pos_txt)
+                inits.append((m.group(1), ctx.parse(m.group(2))))
             except ValueError as e:
                 raise MachineParseError(line_no, f"bad position: {e}")
-            here = placed.setdefault(pos, {})
-            if name not in here and speed_of[name] in here.values():
-                raise MachineParseError(
-                    line_no,
-                    f"co-located signals with equal speed at {pos}: {sorted([*here, name])}",
-                )
-            here[name] = speed_of[name]
-            inits.append((name, pos))
         else:
             raise MachineParseError(line_no, f"unknown directive {head!r}")
+        line_of[head].append(line_no)
 
     try:
         machine = SignalMachine.build(speeds, rules, ctx=ctx)
-        config = InitialConfiguration.build(machine, inits)
+        return machine, InitialConfiguration.build(machine, inits)
     except MachineError as e:
-        raise MachineParseError(0, str(e))
-    return machine, config
+        kind, index = e.entry
+        raise MachineParseError(line_of[kind][index], e.reason)
 
 
 def serialize_machine(machine: SignalMachine, config: InitialConfiguration) -> str:

@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,43 @@ from sigmach.presets import build_sm4
 from sigmach.verify import SUITES
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
+README = MACHINES.parent / "README.md"
+
+
+def readme_run_examples():
+    """The README's `sigmach run` commands that state an output line, as
+    (argv, line): the line follows the command's `#`, or fills the
+    comment-only line under it, and `prints "..."` states the quoted text."""
+    section = README.read_text().split("## Command line", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    examples = []
+    for line, below in zip(lines, lines[1:] + [""]):
+        command, _, stated = line.partition("#")
+        if not command.startswith("sigmach run"):
+            continue
+        if not stated.strip() and below.lstrip().startswith("#"):
+            stated = below.lstrip()[1:]
+        stated = stated.strip()
+        if stated:
+            quoted = re.fullmatch(r'prints "(.*)"', stated)
+            examples.append((shlex.split(command)[1:], quoted.group(1) if quoted else stated))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_the_stated_examples_are_found(self):
+        assert [argv[:3] for argv, _ in readme_run_examples()] == [
+            ["run", "--preset", "mod"],
+            ["run", "--preset", "sm4"],
+            ["run", "--preset", "gcd"],
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, stated", [pytest.param(*e, id=e[0][2]) for e in readme_run_examples()]
+    )
+    def test_example_prints_its_stated_line(self, argv, stated, capsys):
+        assert main(argv) == 0
+        assert stated in capsys.readouterr().out.splitlines()
 
 
 class TestRunCommand:

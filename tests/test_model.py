@@ -55,7 +55,7 @@ class TestValidate:
             *_raw_machine_parts([("a", 1), ("b", 0)], [(("a",), ("a",))]),
         )
         problems = validate(bad)
-        assert any("input arity < 2" in p for p in problems)
+        assert any("rule needs at least two incoming signals" in p for p in problems)
 
     def test_input_speed_clash(self):
         bad = SignalMachine(
@@ -71,10 +71,10 @@ class TestValidate:
             (
                 [("a", 1), ("b", 1), ("c", 0), ("d", -1)],
                 [(("a", "c"), ("a", "b")), (("b", "d"), ())],
-                "rule {a,c}: output speeds not distinct",
+                "output speeds not distinct in a,b",
             ),
             ([("a", 1), ("b", 1)], [(("a", "b"), ())], "input speeds not distinct"),
-            ([("a", 1), ("b", 0)], [(("a",), ("b",))], "input arity < 2"),
+            ([("a", 1), ("b", 0)], [(("a",), ("b",))], "rule needs at least two incoming signals"),
         ],
     )
     def test_build_rejects_what_validate_rejects(self, speeds, rules, message):
@@ -82,6 +82,41 @@ class TestValidate:
             SignalMachine.build(speeds, rules)
         raw = SignalMachine(Q, *_raw_machine_parts(speeds, rules))
         assert any(message in p for p in validate(raw))
+
+    def test_validate_leads_each_fault_with_its_rule(self):
+        raw = SignalMachine(
+            Q, *_raw_machine_parts([("b", 1), ("a", 1), ("c", 0)], [(("c", "b"), ("b", "a"))])
+        )
+        assert validate(raw) == ["rule b,c -> a,b: output speeds not distinct in a,b"]
+
+    @pytest.mark.parametrize(
+        "rule, reason",
+        [
+            ((("a", "b"), ("c", "c")), "output speeds not distinct in c,c"),
+            ((("a", "a", "b"), ()), "input speeds not distinct in a,a,b"),
+            ((("a", "ghost"), ()), "unknown meta-signal 'ghost'"),
+        ],
+    )
+    def test_build_counts_a_name_written_twice(self, rule, reason):
+        with pytest.raises(MachineError) as err:
+            SignalMachine.build([("a", 1), ("b", 0), ("c", -1)], [(("a", "c"), ()), rule])
+        assert (err.value.reason, err.value.entry) == (reason, ("rule", 1))
+
+    @pytest.mark.parametrize("name", ["a b", "x,y", "", "#c", "1a", "a@b"])
+    def test_build_rejects_a_name_the_format_cannot_write(self, name):
+        with pytest.raises(MachineError) as err:
+            SignalMachine.build([("a", 1), (name, 0)])
+        assert (err.value.reason, err.value.entry) == (f"bad meta-signal name {name!r}", ("signal", 1))
+
+    def test_build_reports_the_first_bad_entry(self):
+        with pytest.raises(MachineError) as err:
+            SignalMachine.build([("a", 1), ("b", 0), ("a", 2), ("b", 3)])
+        assert (err.value.reason, err.value.entry) == ("duplicate meta-signal 'a'", ("signal", 2))
+        with pytest.raises(MachineError) as err:
+            SignalMachine.build(
+                [("a", 1), ("b", 0)], [(("a", "b"), ()), (("b", "a"), ("a",)), (("a",), ())]
+            )
+        assert (err.value.reason, err.value.entry) == ("duplicate rule for ['a', 'b']", ("rule", 1))
 
 
 def _raw_machine_parts(speeds, rules):
@@ -111,6 +146,17 @@ class TestConfiguration:
         machine, _ = build_gcd(8, 3)
         with pytest.raises(MachineError):
             InitialConfiguration.build(machine, [("wall_a", 0), ("wall_b", 0)])
+
+    def test_placements_are_checked_in_order(self):
+        machine = SignalMachine.build([("a", 1), ("b", 1), ("c", 0)])
+        placements = [("a", 0), ("c", 0), ("a", 0), ("b", 0), ("ghost", 1)]
+        with pytest.raises(MachineError) as err:
+            InitialConfiguration.build(machine, placements)
+        reason = "co-located signals with equal speed at 0: ['a', 'b', 'c']"
+        assert (err.value.reason, err.value.entry) == (reason, ("init", 3))
+        with pytest.raises(MachineError) as err:
+            InitialConfiguration.build(machine, placements[:3] + placements[4:])
+        assert (err.value.reason, err.value.entry) == ("unknown meta-signal 'ghost'", ("init", 3))
 
 
 class TestClassify:

@@ -8,11 +8,20 @@ from sigmach.engine import QUIESCENT, RunLimits, run
 from sigmach.model import (
     AffineMap,
     InitialConfiguration,
+    MachineError,
+    SignalMachine,
     apply_affine_to_machine,
     validate,
 )
-from sigmach.presets import build_sm4, read_encoded_value
-from sigmach.scalars import FieldContext
+from sigmach.presets import (
+    build_gcd,
+    build_gcd_phi,
+    build_modulo,
+    build_sm4,
+    build_subtraction,
+    read_encoded_value,
+)
+from sigmach.scalars import FieldContext, format_scalar
 from sigmach.textio import (
     MachineParseError,
     event_log_lines,
@@ -71,6 +80,26 @@ class TestParsing:
         assert [
             (str(p), sorted(m.name for m in s)) for p, s in config.sites
         ] == [(str(p), sorted(m.name for m in s)) for p, s in preset_config.sites]
+
+    @pytest.mark.parametrize("path", sorted(MACHINES.glob("*.machine")), ids=lambda p: p.stem)
+    def test_shipped_file_serializes_as_its_preset(self, path):
+        presets = {
+            "sub": lambda: build_subtraction(11, 3),
+            "mod": lambda: build_modulo(11, 3),
+            "gcd": lambda: build_gcd(8, 3),
+            "gcd_phi": build_gcd_phi,
+            "sm4": build_sm4,
+        }
+        parsed = parse_machine_file(path.read_text())
+        assert serialize_machine(*parsed) == serialize_machine(*presets[path.stem]())
+
+    def test_forward_references(self):
+        machine, config = parse_machine_file(
+            "rule a,b -> b\ninit a@0\nsignal a 1\ninit b@1\nsignal b 0\n"
+        )
+        assert [ms.name for ms in machine.signals] == ["a", "b"]
+        assert machine.rules == {frozenset(machine.signals): frozenset([machine.by_name("b")])}
+        assert [sorted(m.name for m in sigs) for _, sigs in config.sites] == [["a"], ["b"]]
 
     def test_comments_and_blank_lines(self):
         machine, config = parse_machine_file(
@@ -175,6 +204,36 @@ class TestParseErrors:
         assert err.value.reason == "co-located signals with equal speed at 1/2: ['a', 'b']"
 
 
+class TestErrorPrecedence:
+    """Syntax errors come first, in file order; then the first bad signal,
+    else the first bad rule, else the first bad init."""
+
+    BAD_INIT = "init a@0\ninit c@0\n"  # lines 1-2: a and c share speed 1
+    BAD_RULES = "rule a,c -> b\nrule a -> b\n"  # lines 3-4
+    SIGNALS = "signal a 1\nsignal b 0\nsignal c 1\n"  # lines 5-7
+
+    def error(self, text):
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file(text)
+        return err.value.line_no, err.value.reason
+
+    def test_a_bad_signal_comes_first(self):
+        text = self.BAD_INIT + self.BAD_RULES + self.SIGNALS + "signal 9 0\nsignal b 2\n"
+        assert self.error(text) == (8, "bad meta-signal name '9'")
+
+    def test_then_the_first_bad_rule(self):
+        text = self.BAD_INIT + self.BAD_RULES + self.SIGNALS
+        assert self.error(text) == (3, "input speeds not distinct in a,c")
+
+    def test_then_the_first_bad_init(self):
+        text = self.BAD_INIT + self.SIGNALS
+        assert self.error(text) == (2, "co-located signals with equal speed at 0: ['a', 'c']")
+
+    def test_a_syntax_error_comes_before_all(self):
+        text = self.BAD_INIT + self.BAD_RULES + self.SIGNALS + "init c 1\n"
+        assert self.error(text) == (8, "expected 'init <name>@<position>'")
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("path", sorted(MACHINES.glob("*.machine")), ids=lambda p: p.stem)
     def test_serialize_parse_round_trip(self, path):
@@ -215,27 +274,94 @@ class TestSeededProperties:
 
     @pytest.mark.parametrize("moved", [False, True], ids=["Q", "Q(sqrt5)"])
     def test_random_bad_rule_lines_name_their_line(self, moved):
+        """Each case injects one bad entry of one kind into a random system
+        whose entry lines are interleaved at random, forward references
+        included: the builders raise the reason the parser reports, at the
+        injected entry, and the parser names its line."""
         rng = random.Random(9)
-        for k in range(60):
+        for k in range(64):
             machine, config = random_system(rng, moved)
-            lines = serialize_machine(machine, config).splitlines()
-            # declare `twin` with the speed of the last signal, right after it
-            last = max(i for i, line in enumerate(lines) if line.startswith("signal "))
-            lines.insert(last + 1, f"signal twin {lines[last].split(' ', 2)[2]}")
-            a = machine.signals[-1].name
-            speed = machine.speed_of(machine.signals[-1])
+            entries = {
+                "signal": [(ms.name, machine.speed_of(ms)) for ms in machine.signals],
+                "rule": [(names(ins), names(outs)) for ins, outs in machine.rules.items()],
+                "init": [(n, p) for p, sigs in config.sites for n in names(sigs)],
+            }
+            # `twin` gets the speed of `a`, and `b` has another speed; for a
+            # bad placement, `a` is a placed signal and `where` its position
+            case = k % 8
+            if case == 7:
+                a, where = rng.choice(entries["init"])
+            else:
+                a = rng.choice(machine.signals).name
+            speed = machine.speed_of(machine.by_name(a))
             b = next(ms.name for ms in machine.signals if machine.speed_of(ms) != speed)
-            bad, reason = [
-                (f"rule {a},twin ->", f"input speeds not distinct in {a},twin"),
-                (f"rule {a},{b} -> {a},twin", f"output speeds not distinct in {a},twin"),
-                (f"rule {a},ghost -> {a}", "unknown meta-signal 'ghost'"),
-                (f"rule {a} -> {a}", "rule needs at least two incoming signals"),
-            ][k % 4]
-            at = rng.randint(last + 2, len(lines))
-            lines.insert(at, bad)
-            with pytest.raises(MachineParseError) as err:
+            signals = entries["signal"]
+            signals.insert(rng.randint(0, len(signals)), ("twin", speed))
+            after = 0  # a duplicate must come after what it repeats
+            if case == 0:
+                bad = rng.choice(["9z", "x,y", "-a", "a.b"])
+                kind, entry, reason = "signal", (bad, speed), f"bad meta-signal name {bad!r}"
+            elif case == 1:
+                kind, entry, reason = "signal", (a, speed), f"duplicate meta-signal {a!r}"
+                after = [n for n, _ in signals].index(a) + 1
+            elif case in (2, 3, 4, 5):
+                kind = "rule"
+                entry, reason = [
+                    (((a,), (a,)), "rule needs at least two incoming signals"),
+                    (((a, "ghost"), (a,)), "unknown meta-signal 'ghost'"),
+                    (((a, "twin"), ()), f"input speeds not distinct in {a},twin"),
+                    (((a, b), (a, "twin")), f"output speeds not distinct in {a},twin"),
+                ][case - 2]
+            elif case == 6:
+                repeated = rng.randrange(len(entries["rule"]))
+                ins = entries["rule"][repeated][0]
+                kind, entry, reason = "rule", (ins[::-1], ()), f"duplicate rule for {sorted(ins)}"
+                after = repeated + 1
+            else:  # the reason names every signal placed at `where` so far
+                kind, entry = "init", ("twin", where)
+                after = entries["init"].index((a, where)) + 1
+            at = rng.randint(after, len(entries[kind]))
+            if case == 7:
+                here = {n for n, p in entries["init"][:at] if p == where} | {"twin"}
+                reason = f"co-located signals with equal speed at {where}: {sorted(here)}"
+            entries[kind].insert(at, entry)
+
+            with pytest.raises(MachineError) as built:
+                built_machine = SignalMachine.build(
+                    entries["signal"], entries["rule"], ctx=machine.ctx
+                )
+                InitialConfiguration.build(built_machine, entries["init"])
+            assert (built.value.reason, built.value.entry) == (reason, (kind, at))
+
+            lines, line_of_bad = interleave(rng, entries, (kind, at), moved)
+            with pytest.raises(MachineParseError) as parsed:
                 parse_machine_file("\n".join(lines) + "\n")
-            assert (err.value.line_no, err.value.reason) == (at + 1, reason)
+            assert (parsed.value.line_no, parsed.value.reason) == (line_of_bad, reason)
+
+
+def names(signals):
+    return tuple(sorted(ms.name for ms in signals))
+
+
+def interleave(rng, entries, bad, moved):
+    """Entry lines with the kinds shuffled together, each kind in its own
+    order, and the line number of the entry `bad` = (kind, index)."""
+    kinds = [kind for kind, items in entries.items() for _ in items]
+    rng.shuffle(kinds)
+    lines = ["field sqrt 5"] if moved else []
+    seen = {kind: 0 for kind in entries}
+    for kind in kinds:
+        if (kind, seen[kind]) == bad:
+            line_of_bad = len(lines) + 1
+        x, y = entries[kind][seen[kind]]
+        seen[kind] += 1
+        if kind == "signal":
+            lines.append(f"signal {x} {format_scalar(y)}")
+        elif kind == "rule":
+            lines.append(f"rule {','.join(x)} -> {','.join(y)}")
+        else:
+            lines.append(f"init {x}@{format_scalar(y)}")
+    return lines, line_of_bad
 
 
 class TestShippedFilesReproduceResults:
