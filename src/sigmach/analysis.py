@@ -13,18 +13,21 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Callable, Hashable, Optional
 
 from .engine import (
     QUIESCENT,
     RunLimits,
     RunState,
+    Segment,
     SpaceTimeDiagram,
     _Snapshots,
+    common_horizon,
     configuration_at,
     run,
 )
-from .model import InitialConfiguration, MachineError, MetaSignal, SignalMachine
+from .model import InitialConfiguration, MachineError, SignalMachine
 from .scalars import Scalar
 
 
@@ -178,38 +181,38 @@ def contraction_replay_matches(
 # A span is a closed time interval (lo, hi) on one line; hi None is +infinity.
 _Span = tuple[Scalar, Optional[Scalar]]
 
+# Line keys: periodicity tells the signals on a line apart, inclusion does
+# not, since its two runs may come from different machines.
+_SIGNAL_LINE = attrgetter("signal", "speed", "intercept")
+_LINE = attrgetter("speed", "intercept")
+
 
 def _before(a: Optional[Scalar], b: Optional[Scalar]) -> bool:
     """a < b, where None stands for +infinity."""
     return a is not None and (b is None or a < b)
 
 
-def _clipped_segments(
-    diagram: SpaceTimeDiagram, cap: Optional[Scalar]
-) -> Iterator[tuple[MetaSignal, Scalar, Scalar, Scalar, Optional[Scalar]]]:
-    """Each segment as (signal, speed, x - speed*t, birth, min(death, cap));
-    segments born after cap are dropped."""
-    sp = diagram.machine.speed_of
+def _lines(
+    diagram: SpaceTimeDiagram, cap: Optional[Scalar], key: Callable[[Segment], Hashable]
+) -> dict[Hashable, list[_Span]]:
+    """The spans [birth, min(death, cap)] of the segments born by cap,
+    grouped by key and merged per group into sorted, disjoint closed
+    intervals.  Segments are recorded in birth order, so each group's spans
+    arrive sorted by their starts."""
+    lines: dict[Hashable, list[_Span]] = {}
     for seg in diagram.segments:
-        hi = seg.death_time
+        lo, hi = seg.birth_time, seg.death_time
         if _before(cap, hi):
-            if cap < seg.birth_time:
-                continue
+            if cap < lo:
+                break
             hi = cap
-        v = sp(seg.signal)
-        yield seg.signal, v, seg.birth_position - v * seg.birth_time, seg.birth_time, hi
-
-
-def _union(spans: list[_Span]) -> list[_Span]:
-    """Sorted, disjoint closed intervals covering exactly the given spans."""
-    merged: list[_Span] = []
-    for lo, hi in sorted(spans, key=lambda s: s[0]):
+        merged = lines.setdefault(key(seg), [])
         if merged and not _before(merged[-1][1], lo):
             if _before(merged[-1][1], hi):
                 merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
-    return merged
+    return lines
 
 
 # -- periodicity -----------------------------------------------------------------
@@ -221,81 +224,68 @@ def detect_periodicity(
     horizon: Optional[Scalar] = None,
 ) -> Optional[PeriodicityCertificate]:
     """Least (transient, period) making the windowed diagram exactly periodic
-    up to the horizon, decided on segments.
+    up to the horizon, decided on lines.
 
-    Segments are clipped to the window and to [0, horizon], and the pieces
-    merged per (signal, speed, x - speed*t).  Period P holds from T when the
-    pieces over [T, horizon - P], moved P later, equal those over
-    [T + P, horizon], and the window's collisions (position and rule) repeat
-    both ways; the latter also pins each collision instant, where closed
-    pieces still hold the incoming signals.  The transient is the least time
-    from which the right-continuous windowed configuration repeats.  Requires
-    the diagram to cover the horizon.  A quiescent tail (no collision in the
-    window and no moving signal in it after T) counts as periodic with a
-    nominal period of a third of the remaining horizon.
+    Each line (signal, speed, x - speed*t) is merged up to the horizon and
+    clipped to the window once, and each collision in the window is a point
+    piece on a line of its own (rule, 0, position).  Period P holds from T
+    when the pieces over [T, horizon - P], moved P later, equal those over
+    [T + P, horizon]; so the collisions repeat both ways, which also pins
+    each collision instant, where closed pieces still hold the incoming
+    signals.  The transient is the least time from which the
+    right-continuous windowed configuration repeats.  The horizon defaults
+    to the final state's time; the diagram must cover it.  A quiescent tail
+    (no collision in the window and no moving signal in it after T) counts
+    as periodic with a nominal period of a third of the remaining horizon.
     """
     lo, hi = window
     if horizon is None:
-        horizon = diagram.horizon
-    if horizon is None:
-        raise ValueError("horizon required: diagram is unbounded")
+        if diagram.horizon is None:
+            raise ValueError("horizon required: diagram is unbounded")
+        horizon = diagram.final_state.time
     if not diagram.covers(horizon):
         raise ValueError("diagram does not cover the requested horizon")
 
     zero = diagram.machine.ctx.zero()
-    sig_at: dict[Scalar, frozenset] = {}
+    sig_at: dict[Scalar, set] = {}
     candidates = {zero}
+    pieces: dict[tuple, list[_Span]] = {}
     for e in diagram.events:
         if e.time <= horizon:
             candidates.add(e.time)
             if lo <= e.position <= hi:
-                cur = sig_at.get(e.time, frozenset())
-                sig_at[e.time] = cur | {(e.position, e.incoming, e.outgoing)}
+                sig_at.setdefault(e.time, set()).add((e.position, e.incoming, e.outgoing))
+                rule_line = ((e.incoming, e.outgoing), zero, e.position)
+                pieces.setdefault(rule_line, []).append((e.time, e.time))
     we_times = sorted(sig_at)
 
-    pieces: dict[tuple[MetaSignal, Scalar, Scalar], list[_Span]] = {}
     last_move = zero  # latest time a mover is in the window
-    for ms, v, c, start, stop in _clipped_segments(diagram, horizon):
+    for (ms, v, c), union in _lines(diagram, horizon, _SIGNAL_LINE).items():
         if v.sign() == 0:
-            if not lo <= c <= hi:
-                continue
-        else:
-            enter, leave = (lo - c) / v, (hi - c) / v
-            if v.sign() < 0:
-                enter, leave = leave, enter
-            start, stop = max(start, enter), min(stop, leave)
-            if stop < start:
-                continue
-            last_move = max(last_move, stop)
-        candidates.update((start, stop))
-        pieces.setdefault((ms, v, c), []).append((start, stop))
-    lines = {key: _union(spans) for key, spans in pieces.items()}
+            if lo <= c <= hi:
+                pieces[(ms, v, c)] = union
+            continue
+        enter, leave = (lo - c) / v, (hi - c) / v
+        if v.sign() < 0:
+            enter, leave = leave, enter
+        inside = [(max(a, enter), min(b, leave)) for a, b in union if a <= leave and enter <= b]
+        if inside:
+            pieces[(ms, v, c)] = inside
+            last_move = max(last_move, inside[-1][1])
+    candidates.update(t for spans in pieces.values() for span in spans for t in span)
 
     def restricted(t0: Scalar, t1: Scalar, shift: Scalar) -> dict:
         """Each line's pieces within [t0, t1], moved `shift` later in time."""
         out = {}
-        for (ms, v, c), union in lines.items():
+        for (tag, v, c), union in pieces.items():
             part = [
                 (max(a, t0) + shift, min(b, t1) + shift)
                 for a, b in union
                 if a <= t1 and t0 <= b
             ]
             if part:
-                out[(ms, v, c - v * shift)] = part
+                out[(tag, v, c - v * shift)] = part
         return out
-
-    def verify(t_start: Scalar, period: Scalar) -> bool:
-        end = horizon - period
-        for t in we_times:  # collision alignment, both directions
-            if t_start <= t <= end and sig_at.get(t) != sig_at.get(t + period):
-                return False
-            if t_start + period <= t <= horizon and sig_at.get(t) != sig_at.get(
-                t - period
-            ):
-                return False
-        return restricted(t_start, end, period) == restricted(
-            t_start + period, horizon, zero
-        )
 
     for t_start in sorted(candidates):
         if not we_times or we_times[-1] <= t_start:  # no later collision
@@ -312,7 +302,9 @@ def detect_periodicity(
                 first + period
             ):
                 continue
-            if verify(t_start, period):
+            if restricted(t_start, horizon - period, period) == restricted(
+                t_start + period, horizon, zero
+            ):
                 return PeriodicityCertificate((lo, hi), t_start, period)
     return None
 
@@ -320,31 +312,20 @@ def detect_periodicity(
 # -- diagram inclusion ------------------------------------------------------------
 
 
-def _spans_by_line(
-    diagram: SpaceTimeDiagram, cap: Optional[Scalar]
-) -> dict[tuple[Scalar, Scalar], list[_Span]]:
-    """The clipped spans of `_clipped_segments`, keyed by line (speed, x - speed*t)."""
-    lines: dict[tuple[Scalar, Scalar], list[_Span]] = {}
-    for _, v, c, birth, stop in _clipped_segments(diagram, cap):
-        lines.setdefault((v, c), []).append((birth, stop))
-    return lines
-
-
 def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:
     """True iff `inner`'s support lies on `outer`'s up to the common horizon.
 
-    Exact: every inner segment, clipped to the horizon, must lie within one
-    maximal interval of the union of outer segments on the same line.  A
-    segment born exactly at the horizon is a single point, which must lie on
-    some outer segment.  Inner events need no check of their own: each one
-    closes at least two inner segments of positive length."""
-    bounds = [h for h in (inner.horizon, outer.horizon) if h is not None]
-    cap = min(bounds) if bounds else None
-    outer_lines = {
-        line: _union(spans) for line, spans in _spans_by_line(outer, cap).items()
-    }
+    Exact: each merged span of an inner line (speed, x - speed*t), clipped
+    to the horizon, must lie within one maximal span of the outer line.  A
+    span of abutting inner segments may stand for the segments, since two
+    that share a point lie in the same maximal outer span.  A segment born
+    exactly at the horizon, on no other inner span, is a single point, which
+    must lie on some outer segment.  Inner events need no check of their
+    own: each one closes at least two inner segments of positive length."""
+    cap = common_horizon(inner, outer)
+    outer_lines = _lines(outer, cap, _LINE)
     at_cap: Optional[set[Scalar]] = None  # outer positions at t = cap
-    for (v, c), spans in _spans_by_line(inner, cap).items():
+    for (v, c), spans in _lines(inner, cap, _LINE).items():
         union = outer_lines.get((v, c), [])
         starts = [lo for lo, _ in union]
         for lo, hi in spans:
@@ -359,9 +340,7 @@ def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:
                     return False
                 continue
             i = bisect_right(starts, lo) - 1
-            if i < 0:
-                return False
-            if _before(union[i][1], hi):
+            if i < 0 or _before(union[i][1], hi):
                 return False
     return True
 

@@ -34,7 +34,7 @@ from .presets import (
 )
 from .scalars import FieldContext, format_scalar
 from .svg import render_diagram
-from .textio import MachineParseError, event_log_lines, parse_machine_file
+from .textio import MachineParseError, event_log_lines, init_lines, parse_machine_file
 from .verify import SUITES, suite_2speed_exhaustive
 
 PRESETS = ("sm4", "sub", "mod", "gcd", "gcd-phi")
@@ -210,9 +210,8 @@ def _cmd_mesh(args) -> int:
         return 1
     machine = support_machine_nu(spec.strip.p, spec.strip.q, ctx)
     config = mesh_configuration(spec, machine)
-    for pos, sigs in config.sites:
-        for ms in sorted(sigs, key=lambda m: m.index):
-            print(f"init {ms.name}@{format_scalar(pos)}")
+    for line in init_lines(config):
+        print(line)
     return 0
 
 

@@ -59,17 +59,19 @@ class Event:
 
 @dataclass
 class Segment:
-    """One straight piece of a signal's trace between two events."""
+    """One straight piece of a signal's trace, on x = intercept + speed*t."""
 
     signal: MetaSignal
+    speed: Scalar
+    intercept: Scalar
     birth_position: Scalar
     birth_time: Scalar
     birth_event: Optional[int]  # None = present initially
     death_time: Optional[Scalar] = None
     death_event: Optional[int] = None
 
-    def position_at(self, t: Scalar, speed: Scalar) -> Scalar:
-        return self.birth_position + speed * (t - self.birth_time)
+    def position_at(self, t: Scalar) -> Scalar:
+        return self.intercept + self.speed * t
 
 
 @dataclass(frozen=True)
@@ -154,6 +156,12 @@ class SpaceTimeDiagram:
 
     def __repr__(self) -> str:
         return f"SpaceTimeDiagram({len(self.events)} events, halt={self.halt_reason})"
+
+
+def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
+    """The least horizon of the diagrams; None when all are unbounded."""
+    bounds = [h for h in (d.horizon for d in diagrams) if h is not None]
+    return min(bounds) if bounds else None
 
 
 # -- the scheduler ----------------------------------------------------------------
@@ -302,8 +310,9 @@ class _Runner:
         site = len(segments)
         lines: list[_Line] = []
         for r, _, ms, solo in sorted(self.member[m] for m in sigs):
-            lines.append((len(segments), site, r, p - speeds[r] * time, ms, solo))
-            segments.append(Segment(ms, p, time, ev))
+            seg = Segment(ms, speeds[r], p - speeds[r] * time, p, time, ev)
+            lines.append((len(segments), site, r, seg.intercept, ms, solo))
+            segments.append(seg)
         return lines
 
     def push_pairs(self, lefts: Iterable[int]) -> None:

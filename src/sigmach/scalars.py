@@ -343,9 +343,18 @@ class Scalar:
     # -- misc ---------------------------------------------------------------
 
     def __float__(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        return float(self.a) + float(self.b) * float(self.d) ** 0.5
+        """The exact value rounded once, not the sum of its rounded parts."""
+        a, b = self.a, self.b
+        if not b:
+            return float(a)
+        # value * ad*bd = n + m*sqrt(d) as in floor().  The norm n^2 - m^2*d is
+        # a nonzero integer and |n - m*sqrt(d)| < 2^(k - 64), so
+        # |n + m*sqrt(d)| * 2^k > 2^64: its floor keeps over 64 bits
+        n, m = a.numerator * b.denominator, b.numerator * a.denominator
+        k = max(n.bit_length(), (m * m * self.d).bit_length() // 2 + 1) + 65
+        r = math.isqrt(m * m * self.d << 2 * k)
+        top = (n << k) + (r if m > 0 else -r - 1)
+        return top / (a.denominator * b.denominator << k)
 
     def __str__(self) -> str:
         return format_scalar(self)

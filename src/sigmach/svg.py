@@ -37,8 +37,6 @@ def render_diagram(
     """One polyline per signal segment, a dot per collision, labeled axes
     with three decimals, time upward.  A certified accumulation point, if
     given, is drawn as a marked cross even though no event exists there."""
-    sp = diagram.machine.speed_of
-
     xs: list[float] = []
     ts: list[float] = []
     end_time = diagram.final_state.time
@@ -52,13 +50,12 @@ def render_diagram(
 
     segs = []
     for seg in diagram.segments:
-        v = sp(seg.signal)
         t0 = float(seg.birth_time)
         t1 = float(seg.death_time) if seg.death_time is not None else t_end
         if t1 < t0:
             continue
         x0 = float(seg.birth_position)
-        x1 = float(seg.position_at(end_time if seg.death_time is None else seg.death_time, v))
+        x1 = float(seg.position_at(end_time if seg.death_time is None else seg.death_time))
         segs.append((seg.signal.name, x0, t0, x1, t1))
         xs += [x0, x1]
         ts += [t0, t1]

@@ -104,10 +104,16 @@ def serialize_machine(machine: SignalMachine, config: InitialConfiguration) -> s
         ins = ",".join(sorted(m.name for m in key))
         outs = ",".join(sorted(m.name for m in machine.rules[key]))
         lines.append(f"rule {ins} -> {outs}")
-    for pos, sigs in config.sites:
-        for ms in sorted(sigs, key=lambda m: m.index):
-            lines.append(f"init {ms.name}@{format_scalar(pos)}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + init_lines(config)) + "\n"
+
+
+def init_lines(config: InitialConfiguration) -> list[str]:
+    """``init <signal>@<position>`` lines, sites left to right, signals in machine order."""
+    return [
+        f"init {ms.name}@{format_scalar(pos)}"
+        for pos, sigs in config.sites
+        for ms in sorted(sigs, key=lambda m: m.index)
+    ]
 
 
 def event_log_lines(diagram: SpaceTimeDiagram) -> list[str]:

@@ -28,6 +28,7 @@ from .engine import (
     RunLimits,
     RunState,
     SpaceTimeDiagram,
+    common_horizon,
     next_collision_delta,
     run,
 )
@@ -446,8 +447,7 @@ def suite_support(seed: int = 0, count: int = 50) -> list[CaseResult]:
         supp = run(
             supp_m, supp_c, RunLimits(max_events=350, max_time=original.horizon)
         )
-        bounds = [h for h in (original.horizon, supp.horizon) if h is not None]
-        cap = min(bounds) if bounds else None
+        cap = common_horizon(original, supp)
         index = {(e.position, e.time): e.incoming for e in supp.events}
         for e in original.events:
             if cap is not None and e.time > cap:

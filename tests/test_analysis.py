@@ -15,7 +15,7 @@ from sigmach.analysis import (
     diagram_included,
     two_speed_bound_check,
 )
-from sigmach.engine import RunLimits, SpaceTimeDiagram, run
+from sigmach.engine import MISSING_RULE, RunLimits, SpaceTimeDiagram, run
 from sigmach.mesh import (
     StripSpec,
     strip_configuration,
@@ -25,6 +25,7 @@ from sigmach.mesh import (
 from sigmach.model import (
     InitialConfiguration,
     MachineError,
+    SignalMachine,
     support_configuration,
     support_machine,
 )
@@ -229,6 +230,23 @@ class TestPeriodicity:
         )
         cert = detect_periodicity(no_snapshots, (Q.zero(), Q.one()), Q.scalar(3))
         assert cert.serialize() == "PERIODIC window=[0,1] transient=1/2 period=1/2"
+
+    def test_default_horizon_is_the_final_state_time(self):
+        # r bounces off w at t = 2 and meets the other r at t = 4, where no
+        # rule exists: the diagram covers [0, 4) and its last state is at 2
+        machine = SignalMachine.build([("r", 1), ("l", -1), ("w", 0)], [(("r", "w"), ("l", "w"))])
+        config = InitialConfiguration.build(machine, [("r", -4), ("r", 0), ("w", 2)])
+        diagram = run(machine, config)
+        assert diagram.halt_reason == MISSING_RULE and diagram.horizon == Q.scalar(4)
+        assert diagram.final_state.time == Q.scalar(2)
+        window = (-Q.one(), Q.zero())
+        got = detect_periodicity(diagram, window)
+        assert got.serialize() == "PERIODIC window=[-1,0] transient=0 period=2/3"
+        with pytest.raises(ValueError, match="does not cover"):
+            detect_periodicity(diagram, window, Q.scalar(4))
+        machine, config = build_sm2_support(1, 1, "sorted")
+        with pytest.raises(ValueError, match="horizon required"):
+            detect_periodicity(run(machine, config), window)
 
     def test_exclusive_with_contraction(self, sm4_diagram, strip_diagram):
         assert detect_contraction(sm4_diagram) is not None

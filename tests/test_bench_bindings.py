@@ -11,8 +11,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "bench"))
 import tracing  # noqa: E402
 import sigmach.cli as cli  # noqa: E402
 import sigmach.engine as engine  # noqa: E402
+import sigmach.mesh as mesh  # noqa: E402
 from sigmach.engine import RunLimits  # noqa: E402
-from sigmach.presets import build_sm4  # noqa: E402
+from sigmach.presets import build_gcd, build_sm4  # noqa: E402
 
 
 def test_every_boundary_resolves_to_a_callable():
@@ -41,3 +42,19 @@ def test_spans_cover_a_cli_arithmetic_run(capsys):
     for name in ("cli.main", "presets.build", "engine.run"):
         assert layers[name]["calls"] == 1, name
     assert cli.run is engine.run
+
+
+def test_spans_cover_a_mesh_verification():
+    spans = tracing.Spans()
+    with spans.active():
+        assert mesh.verify_mesh_inclusion(*build_gcd(8, 3)).ok
+    layers = spans.by_layer()
+    for name in (
+        "mesh.verify",
+        "analysis.detect_periodicity",
+        "analysis.diagram_included",
+        "analysis.detect_contraction",
+    ):
+        assert layers[name]["calls"] == 1, name
+    assert layers["engine.run"]["calls"] == 2
+    assert mesh.run is engine.run

@@ -240,6 +240,16 @@ class TestRunCommand:
         assert log.read_text().startswith("E 0 ")
         assert svg.read_text().startswith("<svg ")
 
+    def test_gcd_phi_svg_at_the_default_event_budget(self, tmp_path, capsys):
+        # deep in this run the two parts of a coordinate overflow a float
+        # while their sum stays near 0 or 3 + sqrt 5
+        svg = tmp_path / "phi.svg"
+        assert main(["run", "--preset", "gcd-phi", "--svg", str(svg)]) == 3
+        assert "event_limit after 10000 events" in capsys.readouterr().out
+        doc = svg.read_text()
+        assert doc.startswith("<svg ") and doc.endswith("</svg>\n")
+        assert "nan" not in doc and "inf" not in doc
+
     @pytest.mark.parametrize("option", ["--log", "--svg"])
     def test_unwritable_output_path_exits_1(self, option, tmp_path, capsys):
         path = tmp_path / "missing" / "out"

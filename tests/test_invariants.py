@@ -48,10 +48,12 @@ def test_segments_agree_with_the_trajectory_condition():
     sp = machine.speed_of
     by_index = {e.index: e for e in diagram.events}
     for seg in diagram.segments:
+        assert seg.speed == sp(seg.signal)
+        assert seg.intercept == seg.birth_position - seg.speed * seg.birth_time
         if seg.death_time is None:
             continue
         death = by_index[seg.death_event]
-        assert seg.position_at(death.time, sp(seg.signal)) == death.position
+        assert seg.position_at(death.time) == death.position
         if seg.birth_event is not None:
             birth = by_index[seg.birth_event]
             assert (seg.birth_position, seg.birth_time) == (

@@ -1,10 +1,20 @@
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from sigmach.engine import RunLimits, run
-from sigmach.mesh import (
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "bench"))
+
+import oracles  # noqa: E402
+from sigmach.analysis import diagram_included  # noqa: E402
+from sigmach.engine import RunLimits, run  # noqa: E402
+from sigmach.mesh import (  # noqa: E402
+    LEFT,
+    RIGHT,
+    STILL,
     MeshSpec,
     StripSpec,
     central_collision,
@@ -14,9 +24,10 @@ from sigmach.mesh import (
     support_machine_nu,
     verify_mesh_inclusion,
 )
-from sigmach.model import InitialConfiguration, MachineError
-from sigmach.presets import PHI_CONTEXT, build_gcd, phi
-from sigmach.scalars import FieldContext, IncommensurateError
+from sigmach.model import InitialConfiguration, MachineError  # noqa: E402
+from sigmach.presets import PHI_CONTEXT, build_gcd, phi  # noqa: E402
+from sigmach.scalars import FieldContext, IncommensurateError  # noqa: E402
+from sigmach.verify import _desk_scale_mesh_case  # noqa: E402
 
 Q = FieldContext(0)
 
@@ -200,3 +211,31 @@ class TestMeshVerification:
         assert cert is not None
         horizon = report.mesh_diagram.horizon
         assert cert.transient + 3 * cert.period <= horizon
+
+    def test_certificates_and_verdicts_agree_with_the_bench_oracles(self):
+        # the oracles in bench/oracles.py share no code with sigmach: the
+        # periodicity certificate must hold event by event, and inclusion
+        # must give the oracle's verdict both ways, True and False alike
+        rng = random.Random(20260810)
+        verdicts = set()
+        for _ in range(24):
+            report = verify_mesh_inclusion(*_desk_scale_mesh_case(rng))
+            strip = report.spec.strip
+            horizon = oracles.as_fraction(strip.transient_time + 3 * strip.period_candidate)
+            speeds = {LEFT: Fraction(-1), STILL: Fraction(0), RIGHT: Fraction(strip.p, strip.q)}
+            cert = report.periodicity
+            assert cert is not None
+            ok, why = oracles.period_shift_holds(
+                report.mesh_diagram,
+                oracles.as_fraction(cert.transient),
+                oracles.as_fraction(cert.period),
+                horizon,
+            )
+            assert ok, why
+            pairs = [(report.support_diagram, report.mesh_diagram)]
+            pairs.append(pairs[0][::-1])
+            for inner, outer in pairs:
+                expected, _ = oracles.included(inner, outer, speeds, horizon)
+                assert diagram_included(inner, outer) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}

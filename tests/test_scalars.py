@@ -1,10 +1,14 @@
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigmach.engine import RunLimits, run
+from sigmach.presets import build_gcd_phi
 from sigmach.scalars import (
     FieldContext,
     FieldError,
@@ -130,6 +134,44 @@ class TestOrderingAndFloor:
     def test_hash_consistent_with_eq(self):
         assert hash(Q5.scalar(3)) == hash(Q.scalar(3))
         assert Q5.scalar(3) == Q.scalar(3)
+
+
+class TestFloat:
+    def test_powers_of_the_conjugate_of_phi(self):
+        # psi^n = F(n-1) + F(n)*psi with psi = (1 - sqrt 5)/2: parts near
+        # 10^20 whose sum is near 10^-21
+        fib = [0, 1]
+        while len(fib) < 101:
+            fib.append(fib[-1] + fib[-2])
+        psi = (1 - math.sqrt(5)) / 2
+        for n in range(1, 101):
+            x = Q5.scalar(fib[n - 1] + Fraction(fib[n], 2), Fraction(-fib[n], 2))
+            assert float(x) == pytest.approx(psi**n, rel=1e-12, abs=0)
+
+    def test_deep_gcd_phi_coordinates(self):
+        def reference(s):
+            a, b = s.a, s.b
+            parts = (a.numerator, a.denominator, b.numerator, b.denominator)
+            digits = max(len(str(abs(n))) for n in parts)
+            with localcontext() as ctx:
+                ctx.prec = 2 * digits + 40
+                exact = Decimal(a.numerator) / a.denominator
+                exact += Decimal(b.numerator) / b.denominator * Decimal(s.d).sqrt()
+                return float(exact)
+
+        # near the accumulation point the parts exceed 10^68 while
+        # positions fall below 10^-69 and times approach 3 + sqrt 5
+        machine, config = build_gcd_phi()
+        diagram = run(machine, config, RunLimits(max_events=2000))
+        deep = [s for e in diagram.events[-100:] for s in (e.time, e.position)]
+        assert max(abs(s.b) for s in deep) > 10**60
+        for s in deep:
+            assert float(s) == pytest.approx(reference(s), rel=1e-12, abs=0)
+
+    def test_rational_scalars_convert_as_fractions(self):
+        for f in (Fraction(1, 3), Fraction(-22, 7), Fraction(10**400, 3**700)):
+            assert float(Q.scalar(f)) == float(f)
+            assert float(Q5.scalar(f)) == float(f)
 
 
 class TestCommensurability:
