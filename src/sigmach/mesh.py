@@ -152,10 +152,9 @@ def embed_in_mesh(config: InitialConfiguration, p: int, q: int) -> MeshSpec:
         w = rational_gcd(w, g)
     span = positions[-1] - positions[0]
     ratio = span / w
-    if ratio.b != 0 or ratio.a.denominator != 1:
+    if ratio.q or ratio.n != 1:
         raise AssertionError("gcd of gaps does not divide the span")
-    k = int(ratio.a)
-    return MeshSpec(StripSpec(p, q, positions[0], w), k)
+    return MeshSpec(StripSpec(p, q, positions[0], w), ratio.p)
 
 
 @dataclass
@@ -194,9 +193,9 @@ def verify_mesh_inclusion(
     if len(speeds) != 3:
         raise MachineError("mesh verification needs a 3-speed machine")
     nu = speeds[-1]
-    if nu.b != 0:
+    if nu.q:
         raise IncommensurateError("speed ratios are irrational: no mesh exists")
-    p, q = int(nu.a.numerator), int(nu.a.denominator)
+    p, q = nu.p, nu.n
 
     smnu = support_machine_nu(p, q, machine.ctx)
     by_speed = {smnu.speed_of(ms): ms for ms in smnu.signals}

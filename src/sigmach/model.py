@@ -236,7 +236,7 @@ class Classification:
 def classify(machine: SignalMachine, config: InitialConfiguration) -> Classification:
     speeds = machine.distinct_speeds()
     positions = config.positions()
-    rational = all(s.b == 0 for s in speeds) and all(p.b == 0 for p in positions)
+    rational = not any(s.q for s in speeds) and not any(p.q for p in positions)
     return Classification(
         speed_count=len(speeds),
         rational=rational,
@@ -290,7 +290,7 @@ def apply_affine_to_machine(machine: SignalMachine, amap: AffineMap) -> SignalMa
     field of its irrational speeds if it has any; signals and rules are
     shared unchanged."""
     new_speed = {ms: amap(sp) for ms, sp in machine.speed.items()}
-    ctx = next((FieldContext(sp.d) for sp in new_speed.values() if sp.b), machine.ctx)
+    ctx = next((FieldContext(sp.d) for sp in new_speed.values() if sp.q), machine.ctx)
     return SignalMachine(ctx, machine.signals, new_speed, machine.rules)
 
 

@@ -1,10 +1,11 @@
 """Exact arithmetic over Q and over one real quadratic extension Q(sqrt(d)).
 
 Every coordinate, speed and duration in this package is a :class:`Scalar`,
-a value ``a + b*sqrt(d)`` with rational ``a``, ``b`` and a fixed square-free
-``d`` shared per :class:`FieldContext`.  All operations are exact: equality
-is structural equality of canonical ``(a, b)`` pairs, ordering is decided by
-integer sign tests, and no floating point is ever consulted.
+a value ``(p + q*sqrt(d))/n`` held as integers in lowest terms with a fixed
+square-free ``d`` shared per :class:`FieldContext`.  All operations are
+exact: each operator is one integer formula reduced by one gcd, equality
+compares the reduced integers, ordering is decided by integer sign tests,
+and no floating point is ever consulted.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -19,9 +21,6 @@ from typing import Union
 
 RationalLike = Union[int, Fraction, str]
 ScalarLike = Union["Scalar", int, Fraction]
-
-
-_ZERO = Fraction(0)
 
 
 class FieldError(ValueError):
@@ -47,6 +46,15 @@ def square_free_split(n: int) -> tuple[int, int]:
     return f, r
 
 
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """x as (numerator, denominator); a float would enter already rounded."""
+    if isinstance(x, str):
+        x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"scalar parts are int, Fraction or str, not {type(x).__name__}")
+    return x.numerator, x.denominator
+
+
 @dataclass(frozen=True)
 class FieldContext:
     """Selects the extension Q(sqrt(d)).  d is normalized square-free;
@@ -63,16 +71,16 @@ class FieldContext:
         return self.d == 0
 
     def scalar(self, a: RationalLike, b: RationalLike = 0) -> Scalar:
-        a, b = Fraction(a), Fraction(b)
-        if self.d == 0 and b != 0:
+        (an, ad), (bn, bd) = _ratio(a), _ratio(b)
+        if self.d == 0 and bn != 0:
             raise FieldError("irrational part in a rational field context")
-        return Scalar(a, b, self.d)
+        return _scalar(an * bd, bn * ad, ad * bd, self.d)
 
     def zero(self) -> Scalar:
-        return Scalar(Fraction(0), Fraction(0), self.d)
+        return _scalar(0, 0, 1, self.d, 1)
 
     def one(self) -> Scalar:
-        return Scalar(Fraction(1), Fraction(0), self.d)
+        return _scalar(1, 0, 1, self.d, 1)
 
     def sqrt_term(self, coefficient: RationalLike, radicand: int) -> Scalar:
         """coefficient * sqrt(radicand), folding square factors.
@@ -81,12 +89,11 @@ class FieldContext:
         0/1, which is rational); anything else is a mixed radical.
         """
         f, r = square_free_split(radicand)
-        c = Fraction(coefficient)
         if r <= 1:
-            return self.scalar(c * f * r)
+            return self.scalar(coefficient) * (f * r)
         if r != self.d:
             raise FieldError(f"sqrt({radicand}) does not live in Q(sqrt({self.d}))")
-        return Scalar(Fraction(0), c * f, self.d)
+        return self.scalar(0, coefficient) * f
 
     def parse(self, text: str) -> Scalar:
         return parse_scalar(text, self)
@@ -97,28 +104,25 @@ RATIONALS = FieldContext(0)
 _RAT_TXT = r"[+-]?\d+(?:/\d+)?"
 _RE_RAT = re.compile(rf"^(?P<a>{_RAT_TXT})$")
 _RE_SQRT = re.compile(rf"^(?P<b>{_RAT_TXT})\*sqrt\((?P<d>\d+)\)$")
-_RE_FULL = re.compile(
-    rf"^(?P<a>{_RAT_TXT})(?P<b>[+-]\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)$"
-)
+_RE_FULL = re.compile(rf"^(?P<a>{_RAT_TXT})(?P<b>[+-]\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)$")
 
 
 def _int(digits: str) -> int:
     """int(digits), also past CPython's cap on int <-> str conversion (4300
-    digits by default): longer integers are read through decimal, which has
-    no such cap."""
+    digits by default): longer integers are read through decimal."""
     try:
         return int(digits)
     except ValueError:
         return int(Decimal(digits))
 
 
-def _rational_text(q: Fraction) -> str:
-    """str(q), also past that cap, through decimal."""
+def _rational_text(num: int, den: int) -> str:
+    """num/den, given in lowest terms, as ``p`` or ``p/q``, also past that
+    cap, through decimal."""
     try:
-        return str(q)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
-        n = str(Decimal(q.numerator))
-        return n if q.denominator == 1 else f"{n}/{Decimal(q.denominator)}"
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -138,9 +142,8 @@ def parse_scalar(text: str, ctx: FieldContext = RATIONALS) -> Scalar:
         raise ScalarSyntaxError("empty scalar")
     m = _RE_FULL.match(s)
     if m:
-        a = _parse_rational(m.group("a"))
         term = ctx.sqrt_term(_parse_rational(m.group("b")), int(m.group("d")))
-        return ctx.scalar(a) + term
+        return ctx.scalar(_parse_rational(m.group("a"))) + term
     m = _RE_SQRT.match(s)
     if m:
         return ctx.sqrt_term(_parse_rational(m.group("b")), int(m.group("d")))
@@ -151,210 +154,156 @@ def parse_scalar(text: str, ctx: FieldContext = RATIONALS) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    if x.b == 0:
-        return _rational_text(x.a)
-    if x.a == 0:
-        return f"{_rational_text(x.b)}*sqrt({x.d})"
-    sign = "+" if x.b > 0 else "-"
-    return f"{_rational_text(x.a)}{sign}{_rational_text(abs(x.b))}*sqrt({x.d})"
+    p, q, n = x.p, x.q, x.n
+    if not q:
+        return _rational_text(p, n)
+    g, h = math.gcd(p, n), math.gcd(q, n)
+    root = f"{_rational_text(q // h, n // h)}*sqrt({x.d})"
+    return f"{_rational_text(p // g, n // g)}{'+' if q > 0 else ''}{root}" if p else root
 
 
-def _sign_parts(an: int, ad: int, bn: int, bd: int, d: int) -> int:
-    """Exact sign of an/ad + (bn/bd)*sqrt(d) for positive ad and bd, decided
-    on integers: when the parts differ in sign, compare an^2*bd^2 with
-    bn^2*ad^2*d."""
-    sa = (an > 0) - (an < 0)
-    sb = (bn > 0) - (bn < 0)
-    if not sb:
-        return sa
-    if not sa or sa == sb:
-        return sb
-    t = an * an * bd * bd - bn * bn * ad * ad * d
-    return sa * ((t > 0) - (t < 0))
+def _sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d), decided on integers: when the terms
+    differ in sign, compare p^2 with q^2*d."""
+    sp = (p > 0) - (p < 0)
+    if not q:
+        return sp
+    sq = 1 if q > 0 else -1
+    if not sp or sp == sq:
+        return sq
+    t = p * p - q * q * d
+    return sp * ((t > 0) - (t < 0))
+
+
+def _rational_hash(p: int, n: int) -> int:
+    """hash(Fraction(p, n)) for p/n in lowest terms, without building it."""
+    if n == 1:
+        return hash(p)
+    m = sys.hash_info.modulus  # n has no inverse when it is a multiple of m
+    h = hash(hash(abs(p)) * pow(n, -1, m)) if n % m else sys.hash_info.inf
+    return h if p >= 0 else (-2 if h == 1 else -h)  # hash() is never -1
 
 
 class Scalar:
-    """Immutable exact value a + b*sqrt(d); totally ordered and hashable.
+    """Immutable exact value (p + q*sqrt(d))/n, built through a
+    :class:`FieldContext`; totally ordered and hashable.  The integers are in
+    lowest terms (n > 0, gcd(p, q, n) = 1, q = 0 when d = 0); ``a`` = p/n and
+    ``b`` = q/n are the parts as Fractions.  Pure rationals coerce silently
+    into any extension, so a rational time can offset a Q(sqrt(5)) position;
+    irrational scalars from different extensions refuse to mix."""
 
-    Pure rationals (b = 0, d = 0) coerce silently into any extension, so a
-    rational time can offset a Q(sqrt(5)) position; two genuinely irrational
-    scalars from different extensions refuse to mix.  When both operands are
-    rational (b = 0) an operation costs one ``Fraction`` operation, and order
-    is decided on integer numerators and denominators without allocating.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d: int) -> None:
-        _SET_A(self, a)
-        _SET_B(self, b)
-        _SET_D(self, d)
+    __slots__ = ("p", "q", "n", "d")
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
-    # -- coercion ---------------------------------------------------------
-
-    def _field(self, other: Scalar) -> int:
-        """The d of a result combining self with the scalar other."""
-        if other.d == self.d or not other.b:
-            return self.d
-        if not self.b:
-            return other.d
-        raise FieldError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-
-    def _pair(self, other: ScalarLike) -> tuple[Scalar, int]:
-        if type(other) is Scalar and other.d == self.d:
-            return other, self.d
-        if isinstance(other, numbers.Rational):
-            return Scalar(Fraction(other), _ZERO, self.d), self.d
-        if not isinstance(other, Scalar):
-            return NotImplemented, 0
-        return other, self._field(other)
+    a = property(lambda self: Fraction(self.p, self.n))
+    b = property(lambda self: Fraction(self.q, self.n))
 
     # -- field operations -------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> Scalar:
-        if type(other) is Scalar and not self.b and not other.b:
-            return Scalar(self.a + other.a, _ZERO, self.d)
-        o, d = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.a + o.a, self.b + o.b, d)
+        o = _join(self, other)
+        return NotImplemented if o is None else _sum(self, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> Scalar:
-        if type(other) is Scalar and not self.b and not other.b:
-            return Scalar(self.a - other.a, _ZERO, self.d)
-        o, d = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.a - o.a, self.b - o.b, d)
+        o = _join(self, other)
+        return NotImplemented if o is None else _sum(self, -o[0], -o[1], o[2], o[3])
 
     def __rsub__(self, other: ScalarLike) -> Scalar:
-        return (-self) + other
+        o = _join(self, other)
+        return NotImplemented if o is None else _scalar(*o, 1) - self
 
     def __neg__(self) -> Scalar:
-        b = self.b
-        return Scalar(-self.a, -b if b else _ZERO, self.d)
+        return _scalar(-self.p, -self.q, self.n, self.d, 1)
 
     def __mul__(self, other: ScalarLike) -> Scalar:
-        if type(other) is Scalar and not self.b and not other.b:
-            return Scalar(self.a * other.a, _ZERO, self.d)
-        o, d = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Scalar(self.a * o.a + self.b * o.b * d, self.a * o.b + self.b * o.a, d)
+        o = _join(self, other)
+        return NotImplemented if o is None else _product(self, *o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> Scalar:
-        if type(other) is Scalar and not self.b and not other.b:
-            try:
-                return Scalar(self.a / other.a, _ZERO, self.d)
-            except ZeroDivisionError:
-                raise ZeroDivisionError("scalar division by zero") from None
-        o, d = self._pair(other)
-        if o is NotImplemented:
+        o = _join(self, other)
+        if o is None:
             return NotImplemented
-        norm = o.a * o.a - o.b * o.b * d
-        if norm == 0:
+        p, q, n, d = o
+        norm = p * p - q * q * d
+        if not norm:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(
-            (self.a * o.a - self.b * o.b * d) / norm,
-            (self.b * o.a - self.a * o.b) / norm,
-            d,
-        )
+        inverse = _scalar(n * p, -n * q, norm, d)  # n*(p - q*sqrt(d))/norm
+        return _product(self, inverse.p, inverse.q, inverse.n, d)
 
     def __rtruediv__(self, other: ScalarLike) -> Scalar:
-        o, _ = self._pair(other)
-        return o / self
+        o = _join(self, other)
+        return NotImplemented if o is None else _scalar(*o, 1) / self
 
     # -- order ------------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.a or self.b)
+        return bool(self.p or self.q)
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, decided on integers (see _sign_parts)."""
-        a, b = self.a, self.b
-        return _sign_parts(a.numerator, a.denominator, b.numerator, b.denominator, self.d)
+        """Exact sign in {-1, 0, +1}, decided on integers (see _sign)."""
+        return _sign(self.p, self.q, self.d)
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not Scalar:
-            if isinstance(other, numbers.Rational):
-                return not self.b and self.a == other
-            if not isinstance(other, Scalar):
-                return NotImplemented
-        if not self.b and not other.b:
-            return self.a == other.a
-        return self.d == other.d and self.a == other.a and self.b == other.b
+        if type(other) is Scalar:
+            return (self.p == other.p and self.q == other.q and self.n == other.n
+                    and (not self.q or self.d == other.d))
+        if isinstance(other, numbers.Rational):
+            return not self.q and self.p == other.numerator and self.n == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.b:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b, self.d)) if self.q else _rational_hash(self.p, self.n)
 
     def _cmp(self, other: ScalarLike) -> int:
-        """Sign of self - other, computed on integers without allocating."""
-        a, b = self.a, self.b
-        if type(other) is Scalar:
-            oa, ob = other.a, other.b
-            if not b and not ob:
-                x, y = a.numerator * oa.denominator, oa.numerator * a.denominator
-                return (x > y) - (x < y)
-            d = self._field(other)
-        elif isinstance(other, numbers.Rational):
-            oa, ob, d = other, _ZERO, self.d
-        else:
+        """Sign of self - other, computed on integers without building it."""
+        o = _join(self, other)
+        if o is None:
             return NotImplemented
-        ad, oad, bd, obd = a.denominator, oa.denominator, b.denominator, ob.denominator
-        return _sign_parts(
-            a.numerator * oad - oa.numerator * ad, ad * oad,
-            b.numerator * obd - ob.numerator * bd, bd * obd, d,
-        )
+        p, q, n, d = o
+        return _sign(self.p * n - p * self.n, self.q * n - q * self.n, d)
 
     def __lt__(self, other: ScalarLike) -> bool:
-        return self._cmp(other) < 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other: ScalarLike) -> bool:
-        return self._cmp(other) <= 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other: ScalarLike) -> bool:
-        return self._cmp(other) > 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other: ScalarLike) -> bool:
-        return self._cmp(other) >= 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
     # -- integer bracketing -----------------------------------------------
 
     def floor(self) -> int:
         """Largest integer <= value, found without floating point."""
-        a, b = self.a, self.b
-        if b == 0:
-            return a.numerator // a.denominator
-        # value * ad*bd = an*bd + bn*ad*sqrt(d), and sqrt(d) is irrational, so
-        # |bn*ad*sqrt(d)| lies strictly between r and r + 1
-        r = math.isqrt(b.numerator ** 2 * a.denominator ** 2 * self.d)
-        num, den = a.numerator * b.denominator, a.denominator * b.denominator
-        return (num + r) // den if b > 0 else (num - r - 1) // den
+        # sqrt(d) is irrational when q != 0, so |q*sqrt(d)| lies strictly
+        # between r and r + 1, and no multiple of n lies between them
+        r = math.isqrt(self.q * self.q * self.d)
+        return (self.p + r) // self.n if self.q >= 0 else (self.p - r - 1) // self.n
 
     # -- misc ---------------------------------------------------------------
 
     def __float__(self) -> float:
         """The exact value rounded once, not the sum of its rounded parts."""
-        a, b = self.a, self.b
-        if not b:
-            return float(a)
-        # value * ad*bd = n + m*sqrt(d) as in floor().  The norm n^2 - m^2*d is
-        # a nonzero integer and |n - m*sqrt(d)| < 2^(k - 64), so
-        # |n + m*sqrt(d)| * 2^k > 2^64: its floor keeps over 64 bits
-        n, m = a.numerator * b.denominator, b.numerator * a.denominator
-        k = max(n.bit_length(), (m * m * self.d).bit_length() // 2 + 1) + 65
-        r = math.isqrt(m * m * self.d << 2 * k)
-        top = (n << k) + (r if m > 0 else -r - 1)
-        return top / (a.denominator * b.denominator << k)
+        # value * n = p + q*sqrt(d).  When q != 0 the norm p^2 - q^2*d is a
+        # nonzero integer and |p - q*sqrt(d)| < 2^(k - 64), so
+        # |p + q*sqrt(d)| * 2^k > 2^64: its floor keeps over 64 bits
+        p, qqd = self.p, self.q * self.q * self.d
+        k = max(p.bit_length(), qqd.bit_length() // 2 + 1) + 65
+        r = math.isqrt(qqd << 2 * k)
+        return ((p << k) + (r if self.q >= 0 else -r - 1)) / (self.n << k)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -363,23 +312,72 @@ class Scalar:
         return f"Scalar({format_scalar(self)})"
 
 
-# The slot setters: __init__ writes through them, past the immutability guard.
-_SET_A, _SET_B, _SET_D = Scalar.a.__set__, Scalar.b.__set__, Scalar.d.__set__
+# The slot setters: _scalar writes through them, past the immutability guard.
+_SET_P, _SET_Q, _SET_N, _SET_D = (getattr(Scalar, k).__set__ for k in Scalar.__slots__)
+_NEW = object.__new__
+
+
+def _scalar(p: int, q: int, n: int, d: int, m: int | None = None) -> Scalar:
+    """The scalar (p + q*sqrt(d))/n for any n != 0, reduced by one gcd.  A caller
+    that knows the common factor divides m (a divisor of n) passes it, so the
+    gcd runs on m instead of n; m = 1 for parts already in lowest terms."""
+    if n < 0:
+        p, q, n = -p, -q, -n
+    g = math.gcd(n if m is None else m, p, q)
+    if g != 1:
+        p, q, n = p // g, q // g, n // g
+    s = _NEW(Scalar)
+    _SET_P(s, p)
+    _SET_Q(s, q)
+    _SET_N(s, n)
+    _SET_D(s, d)
+    return s
+
+
+def _sum(x: Scalar, p: int, q: int, n: int, d: int) -> Scalar:
+    """x + (p + q*sqrt(d))/n.  Over the denominators' lcm, a common factor
+    can only divide their gcd."""
+    g = math.gcd(x.n, n)
+    a, b = x.n // g, n // g
+    return _scalar(x.p * b + p * a, x.q * b + q * a, a * n, d, g)
+
+
+def _product(x: Scalar, p: int, q: int, n: int, d: int) -> Scalar:
+    """x * (p + q*sqrt(d))/n, the latter in lowest terms.  Factors shared by a
+    numerator and the other denominator cancel first; a common factor is then
+    left only by two irrationals, as in (1 + sqrt(5))^2 = 2*(3 + sqrt(5))."""
+    g, h = math.gcd(x.n, p, q), math.gcd(n, x.p, x.q)
+    xp, xq, xn, p, q, n = x.p // h, x.q // h, x.n // g, p // g, q // g, n // h
+    return _scalar(xp * p + xq * q * d, xp * q + xq * p, xn * n, d, xn * n if xq and q else 1)
+
+
+def _join(x: Scalar, y: ScalarLike) -> tuple[int, int, int, int] | None:
+    """y's parts (p, q, n) and the d of a result combining x with y: x's field
+    unless only y is irrational.  None when y is not a rational or a scalar."""
+    if type(y) is Scalar:
+        if y.d == x.d or not y.q:
+            return y.p, y.q, y.n, x.d
+        if not x.q:
+            return y.p, y.q, y.n, y.d
+        raise FieldError(f"cannot mix sqrt({x.d}) with sqrt({y.d})")
+    if isinstance(y, numbers.Rational):
+        return y.numerator, 0, y.denominator, x.d
+    return None
 
 
 def as_scalar(value: ScalarLike, ctx: FieldContext) -> Scalar:
-    if isinstance(value, Scalar):
-        if value.d == ctx.d or value.b == 0:
-            return Scalar(value.a, value.b, ctx.d) if value.b == 0 else value
+    if not isinstance(value, Scalar):
+        return ctx.scalar(value)
+    if value.q and value.d != ctx.d:
         raise FieldError(f"scalar from sqrt({value.d}) used in Q(sqrt({ctx.d}))")
-    return ctx.scalar(value)
+    return value if value.d == ctx.d else _scalar(value.p, 0, value.n, ctx.d, 1)
 
 
 def is_commensurate(x: Scalar, y: Scalar) -> bool:
     """True iff x/y is a plain rational.  Requires y != 0."""
     if y.sign() == 0:
         raise ZeroDivisionError("commensurability against zero")
-    return (x / y).b == 0
+    return not (x / y).q
 
 
 class IncommensurateError(ValueError):
@@ -396,9 +394,9 @@ def rational_gcd(x: Scalar, y: Scalar) -> Scalar:
     if x.sign() <= 0 or y.sign() <= 0:
         raise ValueError("gcd needs strictly positive inputs")
     ratio = x / y
-    if ratio.b != 0:
+    if ratio.q:
         raise IncommensurateError("no common divisor: ratio is irrational")
-    return y / ratio.a.denominator
+    return y / ratio.n
 
 
 def floor_div_mod(a: Scalar, b: Scalar) -> tuple[int, Scalar]:

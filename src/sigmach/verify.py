@@ -498,7 +498,7 @@ def _desk_scale_mesh_case(rng: random.Random) -> tuple[SignalMachine, InitialCon
         config = random_configuration(rng, machine, dens=(1, 2))
         normalized, _, _ = normalize_speeds(machine, config)
         nu = normalized.distinct_speeds()[-1]
-        spec = embed_in_mesh(config, int(nu.a.numerator), int(nu.a.denominator))
+        spec = embed_in_mesh(config, nu.p, nu.n)
         if spec.k * spec.strip.subdivisions <= 60:
             return machine, config
 

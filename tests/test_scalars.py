@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmach.engine import RunLimits, run
+from sigmach.model import SignalMachine
 from sigmach.presets import build_gcd_phi
 from sigmach.scalars import (
     FieldContext,
     FieldError,
     IncommensurateError,
     ScalarSyntaxError,
+    as_scalar,
     euclid_trace,
     floor_div_mod,
     format_scalar,
@@ -378,11 +382,11 @@ def test_subtraction_and_order_agree(x, y):
     assert (diff.sign() == 0) == (x == y)
 
 
-# -- the rational fast path against the plain quadratic-field formulas --------
+# -- the integer representation against the plain quadratic-field formulas ---
 #
 # Each reference below is computed on the (a, b) Fractions alone, with the
-# textbook formulas for Q(sqrt(d)); the scalar under test may take its
-# one-Fraction path (both operands rational) or the general one.
+# textbook formulas for Q(sqrt(d)); the scalar under test computes on its
+# reduced integers (p, q, n).
 
 small_rationals = st.fractions(max_denominator=50).filter(lambda f: abs(f) < 10**4)
 big_rationals = st.builds(
@@ -475,7 +479,7 @@ def test_plain_rational_operands(x, f):
     assert (x == f) == (s == 0)
 
 
-def test_rational_fast_path_keeps_the_left_field():
+def test_rational_operands_keep_the_left_field():
     q, q5, phi = Q.scalar(Fraction(3, 2)), Q5.scalar(Fraction(1, 3)), PHI
     for x, y, d in [(q, q5, 0), (q5, q, 5), (q, phi, 5), (phi, q, 5), (q5, phi, 5)]:
         for result in (x + y, x - y, x * y, x / y):
@@ -505,3 +509,81 @@ def test_mixed_radicals_refuse_to_compare():
     with pytest.raises(FieldError):
         FieldContext(2).scalar(0, 1) < PHI
     assert FieldContext(2).scalar(1) < PHI
+
+
+def _canonical(x) -> None:
+    """x's integers are in lowest terms and its views read them."""
+    assert x.n > 0 and math.gcd(x.p, x.q, x.n) == 1
+    assert x.q == 0 or x.d != 0
+    assert type(x.p) is int and type(x.q) is int and type(x.n) is int
+    assert (x.a, x.b) == (Fraction(x.p, x.n), Fraction(x.q, x.n))
+
+
+@given(st.one_of(st.tuples(q_scalars, q_scalars), st.tuples(mixed_scalars, mixed_scalars)))
+@settings(max_examples=200)
+def test_every_result_is_in_lowest_terms(pair):
+    x, y = pair
+    for result in (x + y, x - y, x * y, -x, -y, parse_scalar(format_scalar(x), FieldContext(x.d))):
+        _canonical(result)
+    if y:
+        _canonical(x / y)
+    ctx = FieldContext(x.d)
+    radicands = (4, 20) if ctx.d else (4,)
+    for built in (ctx.scalar(x.a, x.b), ctx.scalar(str(x.a)), ctx.zero(), ctx.one(),
+                  *(ctx.sqrt_term(x.a, r) for r in radicands)):
+        _canonical(built)
+
+
+def test_products_of_irrationals_reduce():
+    # no integer > 1 divides 1 + sqrt 5, yet (1 + sqrt 5)^2 = 2*(3 + sqrt 5)
+    root5 = Q5.scalar(1, 1)
+    for x, parts in [(root5 * root5, (6, 2, 1)), (PHI * PHI, (3, 1, 2)),
+                     (root5 / (root5 / 2), (2, 0, 1)), (PHI / PHI, (1, 0, 1))]:
+        assert (x.p, x.q, x.n) == parts
+
+
+def test_zero_has_one_representation():
+    for zero in (Q.zero(), Q5.zero(), PHI - PHI, Q5.scalar(Fraction(3, 7)) * 0, Q.scalar("0/5")):
+        assert (zero.p, zero.q, zero.n) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.lt, operator.le, operator.gt, operator.ge])
+@pytest.mark.parametrize("other", [1.5, "x"])
+def test_non_numbers_are_refused_by_python(op, other):
+    for x in (Q.scalar(Fraction(3, 2)), PHI):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(TypeError) as caught:
+                op(left, right)
+            assert "NotImplementedType" not in str(caught.value)
+
+
+def test_non_numbers_get_not_implemented():
+    names = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__"]
+    for name in names:
+        for other in (1.5, "x", None):
+            assert getattr(PHI, name)(other) is NotImplemented, name
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Decimal("0.5"), None, 1j])
+def test_floats_never_enter_a_scalar(value):
+    for build in (lambda: Q.scalar(value), lambda: Q5.scalar(1, value), lambda: as_scalar(value, Q),
+                  lambda: Q5.sqrt_term(value, 5)):
+        with pytest.raises(TypeError, match="int, Fraction or str"):
+            build()
+    with pytest.raises(TypeError, match="int, Fraction or str"):
+        SignalMachine.build([("a", value), ("b", 0)])
+
+
+_MODULUS = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize("f", [
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(-2), Fraction(7, 3), Fraction(-7, 3),
+    Fraction(1, _MODULUS), Fraction(-5, 3 * _MODULUS), Fraction(_MODULUS + 2, _MODULUS),
+    Fraction(10**3999 + 7), Fraction(-(10**3999 + 7), 3**8380), Fraction(_MODULUS * 10**3990, 7),
+])
+def test_rational_hash_is_the_fraction_hash(f):
+    for ctx in (Q, Q5):
+        assert hash(ctx.scalar(f)) == hash(f)
