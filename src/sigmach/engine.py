@@ -2,16 +2,17 @@
 steps and full runs.
 
 `run`, `advance` and `next_collision_delta` all drive the same `_Runner`.  It
-keeps every live signal as a line with a fixed intercept, in spatial order,
-and the meeting times of neighbouring lines in a heap, so an event costs work
-for the signals that collide, not for every live one.  The test suite checks
-its next meeting against a brute-force all-pairs oracle through
-`next_collision_delta`, and whole runs against `verify.brute_force_run`.  All
-collision coordinates are exact scalars, so simultaneous and multi-way
-collisions group by exact meeting time with no tie-breaking.  A run records
-only the live lines after each step; `SpaceTimeDiagram.snapshots` is the one
-reader of that record.  It builds the `RunState` of a step the first time it
-is read, and `configuration_at` and the final state come from it too.
+keeps every live signal as a line with a fixed intercept, in spatial order, and
+the meeting times of neighbouring lines in a heap, so an event costs work for
+the signals that collide, not for every live one: a meeting point, an intercept
+per outgoing speed that no incoming line had, and a subtraction and a product
+per new neighbour pair.  The test suite checks its next meeting against a
+brute-force all-pairs oracle through `next_collision_delta`, and whole runs
+against `verify.brute_force_run`.  All collision coordinates are exact scalars,
+so simultaneous and multi-way collisions group by exact meeting time with no
+tie-breaking.  A run records only the live lines after each step;
+`SpaceTimeDiagram.snapshots` is the one reader of that record: it builds a
+step's `RunState` when first read, for `configuration_at` and the final state.
 """
 
 from __future__ import annotations
@@ -183,6 +184,11 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 # pairs, so an event costs O(k log n) for k colliding signals, as in the
 # kinetic sorted list of Basch, Guibas and Hershberger ("Data structures for
 # mobile data", 1999) and the Bentley-Ottmann sweep.
+# A collision computes its meeting point, then c = p - v*t only for outgoing
+# speeds that no incoming line had, and for each new neighbour pair
+# (c_right - c_left) * 1/(v_left - v_right), the reciprocal stored per runner.
+# An outgoing signal of an incoming line's speed keeps that line's c exactly:
+# it leaves the same point at the same speed, so it is on that line.
 
 _Line = tuple[int, int, int, Scalar, MetaSignal, frozenset[MetaSignal]]
 # What a step keeps of its state: (time, event count, fresh, lines), where
@@ -275,22 +281,21 @@ class _Runner:
     construction."""
 
     def __init__(
-        self,
-        machine: SignalMachine,
-        sites: Sequence[Site],
-        time: Scalar,
-        event_count: int,
+        self, machine: SignalMachine, sites: Sequence[Site], time: Scalar, event_count: int
     ) -> None:
         self.machine = machine
-        self.speeds = machine.distinct_speeds()
+        self.speeds = speeds = machine.distinct_speeds()
         # per signal: its speed rank, an order among co-located signals, and
-        # the one-signal set that its sites share in every state read
-        self.member = {
-            ms: (self.speeds.index(machine.speed_of(ms)), ms.index, ms, frozenset((ms,)))
+        # the one-signal set that its sites share in every state read; per
+        # outgoing or initial signal set, its members slowest first
+        member = {
+            ms: (speeds.index(machine.speed_of(ms)), ms.index, ms, frozenset((ms,)))
             for ms in machine.signals
         }
-        # gaps[i][j] = speeds[i] - speeds[j] for j < i: how fast i closes on j
-        self.gaps = [[v - w for w in self.speeds[:i]] for i, v in enumerate(self.speeds)]
+        sets = [*machine.rules.values(), *(sigs for _, sigs in sites)]
+        self.entries = {sigs: sorted(member[m] for m in sigs) for sigs in sets}
+        # closing[i][j] = 1/(speeds[i] - speeds[j]) for j < i
+        self.closing = [[1 / (v - w) for w in speeds[:i]] for i, v in enumerate(speeds)]
         self.time = time
         self.event_count = event_count
         self.events: list[Event] = []
@@ -298,42 +303,40 @@ class _Runner:
         self.fresh = 0  # lines from this id on still sit where they were opened
         self.order: list[_Line] = []
         for p, sigs in sites:
-            self.order += self.open_site(p, sigs, None)
+            self.order += self.open_site(p, sigs, None, {})
         self.heap: list[tuple[Scalar, _Line, _Line]] = []
         self.push_pairs(range(len(self.order) - 1))
 
     def open_site(
-        self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int]
+        self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int], carried: dict
     ) -> list[_Line]:
-        """One new line and segment per signal at (p, now), slowest first."""
+        """One new line and segment per signal at (p, now), slowest first.  A
+        signal whose speed rank is a key of `carried` takes its intercept."""
         speeds, time, segments = self.speeds, self.time, self.segments
         site = len(segments)
         lines: list[_Line] = []
-        for r, _, ms, solo in sorted(self.member[m] for m in sigs):
-            seg = Segment(ms, speeds[r], p - speeds[r] * time, p, time, ev)
-            lines.append((len(segments), site, r, seg.intercept, ms, solo))
-            segments.append(seg)
+        for r, _, ms, solo in self.entries[sigs]:
+            c = carried[r] if r in carried else p - speeds[r] * time
+            lines.append((len(segments), site, r, c, ms, solo))
+            segments.append(Segment(ms, speeds[r], c, p, time, ev))
         return lines
 
     def push_pairs(self, lefts: Iterable[int]) -> None:
         """Queue the meeting of order[i] and order[i + 1] for each i whose
         left line is the faster."""
-        order, gaps, heap = self.order, self.gaps, self.heap
+        order, closing, heap = self.order, self.closing, self.heap
         for i in lefts:
             left, right = order[i], order[i + 1]
             if left[2] > right[2]:
-                t = (right[3] - left[3]) / gaps[left[2]][right[2]]
+                t = (right[3] - left[3]) * closing[left[2]][right[2]]
                 heapq.heappush(heap, (t, left, right))
-
-    def alive(self, line: _Line) -> bool:
-        return self.segments[line[0]].death_event is None
 
     def next_time(self) -> Optional[Scalar]:
         """Earliest meeting time ahead, None when nothing will ever meet."""
-        heap = self.heap
+        heap, segments = self.heap, self.segments
         while heap:
             t, left, right = heap[0]
-            if self.alive(left) and self.alive(right):
+            if segments[left[0]].death_event is None and segments[right[0]].death_event is None:
                 return t
             heapq.heappop(heap)
         return None
@@ -342,15 +345,14 @@ class _Runner:
         """Pop every pair meeting at t = next_time() and chain them into
         collision groups: slices [start, end) of `order` with their meeting
         point, left to right."""
-        heap, order = self.heap, self.order
+        heap, order, segments = self.heap, self.order, self.segments
         lefts = []
         while heap and heap[0][0] == t:
             _, left, right = heapq.heappop(heap)
-            if self.alive(left) and self.alive(right):
+            if segments[left[0]].death_event is None and segments[right[0]].death_event is None:
                 lefts.append(order.index(left))
-        lefts.sort()
         spans: list[list[int]] = []
-        for i in lefts:
+        for i in sorted(lefts):
             if spans and spans[-1][1] == i + 1:
                 spans[-1][1] = i + 2
             else:
@@ -361,7 +363,7 @@ class _Runner:
     def step(self, t: Scalar) -> None:
         """Fire every collision at t = next_time().  Raises MissingRuleError
         before any line, segment or event changes."""
-        order = self.order
+        order, segments = self.order, self.segments
         fired = []
         for start, end, p in self.pop_groups(t):
             incoming = frozenset(line[4] for line in order[start:end])
@@ -370,26 +372,24 @@ class _Runner:
                 raise MissingRuleError(p, t, incoming)
             fired.append((start, end, p, incoming, outgoing))
         self.time = t
-        self.fresh = len(self.segments)
-        opened = []
+        self.fresh = len(segments)
+        # one pass, left to right: each group's lines die and its outgoing ones
+        # take its place, moved by `shift`; both new edges may start a pair
+        lefts, shift = [], 0
         for start, end, p, incoming, outgoing in fired:
-            idx = self.event_count
+            start, end, idx = start + shift, end + shift, self.event_count
             self.events.append(Event(idx, t, p, incoming, outgoing))
             self.event_count += 1
+            carried = {}
             for line in order[start:end]:
-                seg = self.segments[line[0]]
-                seg.death_time = t
-                seg.death_event = idx
-            opened.append(self.open_site(p, outgoing, idx))
-        # splice right to left, so that earlier slices keep their indexes
-        for (start, end, *_), lines in zip(reversed(fired), reversed(opened)):
+                seg = segments[line[0]]
+                seg.death_time, seg.death_event = t, idx
+                carried[line[2]] = line[3]
+            lines = self.open_site(p, outgoing, idx, carried)
             order[start:end] = lines
-        lefts = set()
-        shift = 0
-        for (start, end, *_), lines in zip(fired, opened):
-            lefts.update((start + shift - 1, start + shift + len(lines) - 1))
             shift += len(lines) - (end - start)
-        self.push_pairs(sorted(i for i in lefts if 0 <= i < len(order) - 1))
+            lefts += (start - 1, start + len(lines) - 1)
+        self.push_pairs(i for i in dict.fromkeys(lefts) if 0 <= i < len(order) - 1)
 
     def record(self) -> _Record:
         return self.time, self.event_count, self.fresh, tuple(self.order)

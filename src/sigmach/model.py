@@ -90,6 +90,9 @@ class SignalMachine:
     def __setattr__(self, *_):
         raise AttributeError("SignalMachine is immutable")
 
+    def __reduce__(self):
+        return SignalMachine, (self.ctx, self.signals, self.speed, self.rules)
+
     @classmethod
     def build(
         cls,
@@ -156,6 +159,9 @@ class InitialConfiguration:
 
     def __setattr__(self, *_):
         raise AttributeError("InitialConfiguration is immutable")
+
+    def __reduce__(self):
+        return InitialConfiguration, (self.sites,)
 
     @classmethod
     def build(

@@ -197,6 +197,10 @@ class Scalar:
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, past the guard
+        return _scalar, (self.p, self.q, self.n, self.d)
+
     a = property(lambda self: Fraction(self.p, self.n))
     b = property(lambda self: Fraction(self.q, self.n))
 

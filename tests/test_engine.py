@@ -417,9 +417,8 @@ SCALAR_OPS = [
 ]
 
 
-def test_scalar_ops_per_event_do_not_grow_with_live_signals(monkeypatch):
-    """gcd(a, 3) keeps about a/20 signals alive; the scheduler's cost per
-    event must depend on the colliding signals only."""
+def scalar_ops_per_event(monkeypatch, machine, config, limits=None):
+    """Scalar operations that run() makes, per event."""
     count = [0]
 
     def counted(fn):
@@ -429,13 +428,27 @@ def test_scalar_ops_per_event_do_not_grow_with_live_signals(monkeypatch):
 
         return wrapper
 
-    per_event = {}
-    for a in (100, 1000):
-        machine, config = build_gcd(a, 3)
-        with monkeypatch.context() as patch:
-            for name in SCALAR_OPS:
-                patch.setattr(Scalar, name, counted(getattr(Scalar, name)))
-            count[0] = 0
-            diagram = run(machine, config)
-        per_event[a] = count[0] / len(diagram.events)
+    with monkeypatch.context() as patch:
+        for name in SCALAR_OPS:
+            patch.setattr(Scalar, name, counted(getattr(Scalar, name)))
+        diagram = run(machine, config, limits)
+    return count[0] / len(diagram.events)
+
+
+def test_scalar_ops_per_event_do_not_grow_with_live_signals(monkeypatch):
+    """gcd(a, 3) keeps about a/20 signals alive; the scheduler's cost per
+    event must depend on the colliding signals only."""
+    per_event = {a: scalar_ops_per_event(monkeypatch, *build_gcd(a, 3)) for a in (100, 1000)}
     assert per_event[1000] <= 1.5 * per_event[100], per_event
+
+
+@pytest.mark.parametrize("system, limits, bound", [
+    (build_sm4, RunLimits(max_events=200), 7.5),
+    (lambda: build_gcd(100, 3), None, 10),
+], ids=["sm4", "gcd(100,3)"])
+def test_scalar_ops_per_event_stay_within_the_collision_work(monkeypatch, system, limits, bound):
+    """An event costs its meeting point, an intercept per outgoing speed that
+    no incoming line had, and a subtraction and a product per new neighbour
+    pair, plus the heap's comparisons."""
+    per_event = scalar_ops_per_event(monkeypatch, *system(), limits)
+    assert per_event <= bound, per_event

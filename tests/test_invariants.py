@@ -10,7 +10,7 @@ from sigmach.analysis import ContractionSearch, detect_contraction, two_speed_bo
 from sigmach.engine import QUIESCENT, RunLimits, RunState, configuration_at, run
 from sigmach.mesh import StripSpec, central_collision, strip_configuration, support_machine_nu
 from sigmach.model import InitialConfiguration, SignalMachine
-from sigmach.presets import build_sm4
+from sigmach.presets import build_gcd, build_gcd_phi, build_sm4
 from sigmach.scalars import FieldContext
 from sigmach.verify import random_configuration, random_machine
 
@@ -42,24 +42,37 @@ def test_every_snapshot_is_well_formed_on_random_runs():
             assert a < b
 
 
+def _trajectory_systems():
+    q2 = FieldContext(2)
+    yield (*build_sm4(), 25)
+    yield (*build_gcd_phi(), 300)
+    yield (*build_gcd(1, q2.scalar(-1, 1), ctx=q2), 300)
+    rng = random.Random(20261019)
+    for _ in range(12):
+        machine = random_machine(rng, rng.randint(2, 4))
+        yield machine, random_configuration(rng, machine), 60
+
+
 def test_segments_agree_with_the_trajectory_condition():
-    machine, config = build_sm4()
-    diagram = run(machine, config, RunLimits(max_events=25))
-    sp = machine.speed_of
-    by_index = {e.index: e for e in diagram.events}
-    for seg in diagram.segments:
-        assert seg.speed == sp(seg.signal)
-        assert seg.intercept == seg.birth_position - seg.speed * seg.birth_time
-        if seg.death_time is None:
-            continue
-        death = by_index[seg.death_event]
-        assert seg.position_at(death.time) == death.position
-        if seg.birth_event is not None:
-            birth = by_index[seg.birth_event]
-            assert (seg.birth_position, seg.birth_time) == (
-                birth.position,
-                birth.time,
-            )
+    """Every segment's line, opened fresh or carried across a collision, is
+    the one through its birth point at its speed, in Q and in Q(sqrt d)."""
+    for machine, config, events in _trajectory_systems():
+        diagram = run(machine, config, RunLimits(max_events=events))
+        sp = machine.speed_of
+        by_index = {e.index: e for e in diagram.events}
+        for seg in diagram.segments:
+            assert seg.speed == sp(seg.signal)
+            assert seg.intercept == seg.birth_position - seg.speed * seg.birth_time
+            if seg.death_time is None:
+                continue
+            death = by_index[seg.death_event]
+            assert seg.position_at(death.time) == death.position
+            if seg.birth_event is not None:
+                birth = by_index[seg.birth_event]
+                assert (seg.birth_position, seg.birth_time) == (
+                    birth.position,
+                    birth.time,
+                )
 
 
 def test_strip_configuration_at_central_instant_shows_the_triple():

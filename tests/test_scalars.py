@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 import sys
 from decimal import Decimal, localcontext
@@ -26,6 +28,7 @@ from sigmach.scalars import (
     rational_gcd,
     square_free_split,
 )
+from sigmach.textio import event_log_lines
 
 Q = FieldContext(0)
 Q5 = FieldContext(5)
@@ -116,6 +119,28 @@ class TestTruth:
         root5 = FieldContext(5).sqrt_term(1, 5)
         assert root5 and (1 - root5)
         assert not (root5 - root5)
+
+
+class TestCopyAndPickle:
+    VALUES = [
+        Q.zero(), Q.scalar(Fraction(-7, 3)), Q.scalar(2**90 + 1, 0),
+        Q5.zero(), Q5.scalar(4), PHI, Q5.scalar(Fraction(-3, 8), Fraction(5, 6)),
+    ]
+
+    @pytest.mark.parametrize("trip", [
+        copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip_keeps_value_hash_and_field(self, trip):
+        for s in self.VALUES:
+            back = trip(s)
+            assert back == s and hash(back) == hash(s)
+            assert (back.p, back.q, back.n, back.d) == (s.p, s.q, s.n, s.d)
+            with pytest.raises(AttributeError):
+                back.p = 0
+
+    def test_a_deep_copied_diagram_keeps_its_event_log(self):
+        diagram = run(*build_gcd_phi(), RunLimits(max_events=300))
+        assert event_log_lines(copy.deepcopy(diagram)) == event_log_lines(diagram)
 
 
 class TestOrderingAndFloor:
