@@ -2,15 +2,16 @@
 steps and full runs.
 
 `run`, `advance` and `next_collision_delta` all drive the same `_Runner`.  It
-keeps every live signal as a line with a fixed intercept, in spatial order, and
-the meeting times of neighbouring lines in a heap, so an event costs work for
-the signals that collide, not for every live one: a meeting point, an intercept
-per outgoing speed that no incoming line had, and a subtraction and a product
-per new neighbour pair.  The test suite checks its next meeting against a
-brute-force all-pairs oracle through `next_collision_delta`, and whole runs
-against `verify.brute_force_run`.  All collision coordinates are exact scalars,
-so simultaneous and multi-way collisions group by exact meeting time with no
-tie-breaking.  A run records only the live lines after each step;
+records every live signal once, as its `Segment`, the line x = intercept +
+speed*t, and keeps the segment ids in spatial order and the meeting times of
+neighbouring lines in a heap, so an event costs work for the signals that
+collide, not for every live one: a meeting point, an intercept per outgoing
+speed that no incoming line had, and a subtraction and a product per new
+neighbour pair.  The test suite checks its next meeting against a brute-force
+all-pairs oracle through `next_collision_delta`, and whole runs against
+`verify.brute_force_run`.  All collision coordinates are exact scalars, so
+simultaneous and multi-way collisions group by exact meeting time with no
+tie-breaking.  A run records only the ids of the live lines after each step;
 `SpaceTimeDiagram.snapshots` is the one reader of that record: it builds a
 step's `RunState` when first read, for `configuration_at` and the final state.
 """
@@ -58,12 +59,14 @@ class Event:
         return f"E{self.index}@({self.position},{self.time}) {{{ins}}}->{{{outs}}}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
-    """One straight piece of a signal's trace, on x = intercept + speed*t."""
+    """One straight piece of a signal's trace, on x = intercept + speed*t;
+    `rank` indexes its speed in the machine's `distinct_speeds()`."""
 
     signal: MetaSignal
     speed: Scalar
+    rank: int
     intercept: Scalar
     birth_position: Scalar
     birth_time: Scalar
@@ -98,43 +101,20 @@ class MissingRuleError(RuntimeError):
         self.incoming = incoming
 
 
+@dataclass(slots=True, eq=False)
 class SpaceTimeDiagram:
     """Recorded run: exact event log, signal segments, and the post-event
     state snapshots, each built when first read."""
 
-    __slots__ = (
-        "machine",
-        "initial",
-        "events",
-        "segments",
-        "snapshots",
-        "final_state",
-        "halt_reason",
-        "halt_detail",
-        "certificate",
-    )
-
-    def __init__(
-        self,
-        machine: SignalMachine,
-        initial: InitialConfiguration,
-        events: list[Event],
-        segments: list[Segment],
-        snapshots: _Snapshots,
-        final_state: RunState,
-        halt_reason: str,
-        halt_detail: Optional[MissingRuleError] = None,
-        certificate: object | None = None,
-    ) -> None:
-        self.machine = machine
-        self.initial = initial
-        self.events = events
-        self.segments = segments
-        self.snapshots = snapshots
-        self.final_state = final_state
-        self.halt_reason = halt_reason
-        self.halt_detail = halt_detail
-        self.certificate = certificate
+    machine: SignalMachine
+    initial: InitialConfiguration
+    events: list[Event]
+    segments: list[Segment]
+    snapshots: _Snapshots
+    final_state: RunState
+    halt_reason: str
+    halt_detail: Optional[MissingRuleError] = None
+    certificate: object | None = None
 
     @property
     def horizon(self) -> Optional[Scalar]:
@@ -167,13 +147,12 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 
 # -- the scheduler ----------------------------------------------------------------
 #
-# A live signal is a line (id, site, rank, c, meta-signal, {meta-signal}):
-# `id` indexes its segment, `site` is the id of the first signal opened at
-# the same place and time, `rank` indexes its speed v, and c = x - v*t is
-# fixed for its life, so nothing moves between events and a position is
-# computed only when read.
-# `order` holds the lines in spatial order just after the current time, so
-# the siblings of a site that has just opened come slowest first.  Two lines
+# A live signal is recorded once, as its segment: `order`, the heap and the
+# records hold segment ids, and a line's speed rank, intercept c = x - v*t and
+# meta-signal are read from `segments[id]`.  c is fixed for the line's life,
+# so nothing moves between events and a position is computed only when read.
+# `order` holds the ids in spatial order just after the current time, so the
+# siblings of a site that has just opened come slowest first.  Two lines
 # can only swap places by meeting, so the first meeting is always between
 # neighbours, the left one faster, and every such pair waits in a heap keyed
 # by its exact meeting time.  Nothing can come between two live neighbours,
@@ -190,57 +169,67 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 # An outgoing signal of an incoming line's speed keeps that line's c exactly:
 # it leaves the same point at the same speed, so it is on that line.
 
-_Line = tuple[int, int, int, Scalar, MetaSignal, frozenset[MetaSignal]]
-# What a step keeps of its state: (time, event count, fresh, lines), where
-# the lines with id >= fresh are still at the site they were opened at.
-_Record = tuple[Scalar, int, int, tuple[_Line, ...]]
+# What a step keeps of its state: (time, event count, fresh, segment ids of
+# the live lines), where the lines with id >= fresh are still at the site
+# they were opened at.
+_Record = tuple[Scalar, int, int, tuple[int, ...]]
+# The one-signal set of each signal, built once per run and shared by its
+# sites in every state read, so a shape hashes each set once.
+_Solo = dict[MetaSignal, frozenset[MetaSignal]]
 
 
-def _sites(record: _Record) -> list[tuple[_Line, frozenset[MetaSignal]]]:
-    """The sites of recorded lines, left to right, as (first line, signal
-    set): one per line, except that lines opened together at the record's
-    time still share the point of their birth."""
-    fresh, lines = record[2], record[3]
-    sites: list[tuple[_Line, frozenset[MetaSignal]]] = []
-    shared = -1
-    for line in lines:
-        if line[1] == shared:
-            sites[-1] = (sites[-1][0], sites[-1][1] | line[5])
+def _sites(
+    record: _Record, segments: Sequence[Segment], solo: _Solo
+) -> list[tuple[int, frozenset[MetaSignal]]]:
+    """The sites of recorded lines, left to right, as (first id, signal set):
+    one per line, except that neighbouring lines opened at the record's time
+    at one point still share it.  `open_site` hands one point object to all
+    the lines of a site, so birth points are compared by identity."""
+    fresh, ids = record[2], record[3]
+    sites: list[tuple[int, frozenset[MetaSignal]]] = []
+    born = None  # birth point of the last line, when it is fresh
+    for i in ids:
+        seg = segments[i]
+        if i >= fresh and seg.birth_position is born:
+            sites[-1] = (sites[-1][0], sites[-1][1] | solo[seg.signal])
         else:
-            sites.append((line, line[5]))
-            if line[0] >= fresh:
-                shared = line[1]
+            sites.append((i, solo[seg.signal]))
+            born = seg.birth_position if i >= fresh else None
     return sites
 
 
 def _state(
-    record: _Record, speeds: Sequence[Scalar], segments: Sequence[Segment]
+    record: _Record, speeds: Sequence[Scalar], segments: Sequence[Segment], solo: _Solo
 ) -> RunState:
     """The state of a record: each site at its first line's position, a line
     that is still at its birth point read from its segment."""
     time, count, fresh, _ = record
     moves = [v * time for v in speeds]
     sites: list[Site] = []
-    for line, sigs in _sites(record):
-        line_id, _, rank, c, _, _ = line
-        p = segments[line_id].birth_position if line_id >= fresh else c + moves[rank]
+    for i, sigs in _sites(record, segments, solo):
+        seg = segments[i]
+        p = seg.birth_position if i >= fresh else seg.intercept + moves[seg.rank]
         sites.append((p, sigs))
     return RunState(time, tuple(sites), count)
 
 
 class _Snapshots:
     """The post-event states of a run, as a read-only sequence.  A step
-    records only its live lines; the records are kept as appended, and a
-    state is built beside its record the first time it is read.  Times,
-    event counts and shapes are read from the records without a build."""
+    records only the ids of its live lines; the records are kept as
+    appended, and a state is built beside its record the first time it is
+    read.  Times, event counts and shapes are read from the records without
+    a build."""
 
-    __slots__ = ("_records", "_states", "_speeds", "_segments")
+    __slots__ = ("_records", "_states", "_speeds", "_segments", "_solo")
 
-    def __init__(self, speeds: Sequence[Scalar], segments: Sequence[Segment]) -> None:
+    def __init__(
+        self, speeds: Sequence[Scalar], segments: Sequence[Segment], solo: _Solo
+    ) -> None:
         self._records: list[_Record] = []
         self._states: list[Optional[RunState]] = []
         self._speeds = speeds
         self._segments = segments
+        self._solo = solo
 
     def append(self, record: _Record) -> None:
         self._records.append(record)
@@ -254,12 +243,15 @@ class _Snapshots:
             return [self[k] for k in range(*i.indices(len(self._records)))]
         state = self._states[i]
         if state is None:
-            state = self._states[i] = _state(self._records[i], self._speeds, self._segments)
+            state = self._states[i] = self._build(self._records[i])
         return state
+
+    def _build(self, record: _Record) -> RunState:
+        return _state(record, self._speeds, self._segments, self._solo)
 
     def shape(self, i: int) -> tuple[frozenset[MetaSignal], ...]:
         """The signal sets of state i's sites, left to right."""
-        return tuple(sigs for _, sigs in _sites(self._records[i]))
+        return tuple(sigs for _, sigs in _sites(self._records[i], self._segments, self._solo))
 
     def event_count(self, i: int) -> int:
         return self._records[i][1]
@@ -269,31 +261,28 @@ class _Snapshots:
         recorded state at a step's own time, else the last step's lines
         moved to t, where none is still at its birth point."""
         i = bisect.bisect_right(self._records, t, key=lambda r: r[0]) - 1
-        time, count, _, lines = self._records[i]
+        time, count, _, ids = self._records[i]
         if time == t:
             return self[i]
-        return _state((t, count, len(self._segments), lines), self._speeds, self._segments)
+        return self._build((t, count, len(self._segments), ids))
 
 
 class _Runner:
-    """The scheduler: live lines in spatial order, the heap of neighbour
-    meetings, the clock, and the events and segments recorded since
-    construction."""
+    """The scheduler: the ids of live lines in spatial order, the heap of
+    neighbour meetings, the clock, and the events and segments recorded
+    since construction."""
 
     def __init__(
         self, machine: SignalMachine, sites: Sequence[Site], time: Scalar, event_count: int
     ) -> None:
         self.machine = machine
         self.speeds = speeds = machine.distinct_speeds()
-        # per signal: its speed rank, an order among co-located signals, and
-        # the one-signal set that its sites share in every state read; per
-        # outgoing or initial signal set, its members slowest first
-        member = {
-            ms: (speeds.index(machine.speed_of(ms)), ms.index, ms, frozenset((ms,)))
-            for ms in machine.signals
-        }
+        self.solo: _Solo = {ms: frozenset((ms,)) for ms in machine.signals}
+        # per outgoing or initial signal set: (speed rank, index, signal) of
+        # its members, slowest first, which orders co-located signals
+        rank = {ms: speeds.index(machine.speed_of(ms)) for ms in machine.signals}
         sets = [*machine.rules.values(), *(sigs for _, sigs in sites)]
-        self.entries = {sigs: sorted(member[m] for m in sigs) for sigs in sets}
+        self.entries = {sigs: sorted((rank[m], m.index, m) for m in sigs) for sigs in sets}
         # closing[i][j] = 1/(speeds[i] - speeds[j]) for j < i
         self.closing = [[1 / (v - w) for w in speeds[:i]] for i, v in enumerate(speeds)]
         self.time = time
@@ -301,42 +290,42 @@ class _Runner:
         self.events: list[Event] = []
         self.segments: list[Segment] = []
         self.fresh = 0  # lines from this id on still sit where they were opened
-        self.order: list[_Line] = []
+        self.order: list[int] = []
         for p, sigs in sites:
             self.order += self.open_site(p, sigs, None, {})
-        self.heap: list[tuple[Scalar, _Line, _Line]] = []
+        self.heap: list[tuple[Scalar, int, int]] = []
         self.push_pairs(range(len(self.order) - 1))
 
     def open_site(
         self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int], carried: dict
-    ) -> list[_Line]:
-        """One new line and segment per signal at (p, now), slowest first.  A
-        signal whose speed rank is a key of `carried` takes its intercept."""
+    ) -> range:
+        """One new segment per signal at (p, now), slowest first, and their
+        ids.  A signal whose speed rank is a key of `carried` takes its
+        intercept."""
         speeds, time, segments = self.speeds, self.time, self.segments
-        site = len(segments)
-        lines: list[_Line] = []
-        for r, _, ms, solo in self.entries[sigs]:
+        first = len(segments)
+        for r, _, ms in self.entries[sigs]:
             c = carried[r] if r in carried else p - speeds[r] * time
-            lines.append((len(segments), site, r, c, ms, solo))
-            segments.append(Segment(ms, speeds[r], c, p, time, ev))
-        return lines
+            segments.append(Segment(ms, speeds[r], r, c, p, time, ev))
+        return range(first, len(segments))
 
     def push_pairs(self, lefts: Iterable[int]) -> None:
         """Queue the meeting of order[i] and order[i + 1] for each i whose
         left line is the faster."""
-        order, closing, heap = self.order, self.closing, self.heap
+        order, segments, closing, heap = self.order, self.segments, self.closing, self.heap
         for i in lefts:
-            left, right = order[i], order[i + 1]
-            if left[2] > right[2]:
-                t = (right[3] - left[3]) * closing[left[2]][right[2]]
-                heapq.heappush(heap, (t, left, right))
+            a, b = order[i], order[i + 1]
+            left, right = segments[a], segments[b]
+            if left.rank > right.rank:
+                t = (right.intercept - left.intercept) * closing[left.rank][right.rank]
+                heapq.heappush(heap, (t, a, b))
 
     def next_time(self) -> Optional[Scalar]:
         """Earliest meeting time ahead, None when nothing will ever meet."""
         heap, segments = self.heap, self.segments
         while heap:
-            t, left, right = heap[0]
-            if segments[left[0]].death_event is None and segments[right[0]].death_event is None:
+            t, a, b = heap[0]
+            if segments[a].death_event is None and segments[b].death_event is None:
                 return t
             heapq.heappop(heap)
         return None
@@ -346,19 +335,19 @@ class _Runner:
         collision groups: slices [start, end) of `order` with their meeting
         point, left to right."""
         heap, order, segments = self.heap, self.order, self.segments
-        lefts = []
+        # next_time() read t from the top entry and found it live
+        lefts = [order.index(heapq.heappop(heap)[1])]
         while heap and heap[0][0] == t:
-            _, left, right = heapq.heappop(heap)
-            if segments[left[0]].death_event is None and segments[right[0]].death_event is None:
-                lefts.append(order.index(left))
+            _, a, b = heapq.heappop(heap)
+            if segments[a].death_event is None and segments[b].death_event is None:
+                lefts.append(order.index(a))
         spans: list[list[int]] = []
         for i in sorted(lefts):
             if spans and spans[-1][1] == i + 1:
                 spans[-1][1] = i + 2
             else:
                 spans.append([i, i + 2])
-        speeds = self.speeds
-        return [(s, e, order[s][3] + speeds[order[s][2]] * t) for s, e in spans]
+        return [(s, e, segments[order[s]].position_at(t)) for s, e in spans]
 
     def step(self, t: Scalar) -> None:
         """Fire every collision at t = next_time().  Raises MissingRuleError
@@ -366,7 +355,7 @@ class _Runner:
         order, segments = self.order, self.segments
         fired = []
         for start, end, p in self.pop_groups(t):
-            incoming = frozenset(line[4] for line in order[start:end])
+            incoming = frozenset(segments[i].signal for i in order[start:end])
             outgoing = self.machine.rule_for(incoming)
             if outgoing is None:
                 raise MissingRuleError(p, t, incoming)
@@ -381,14 +370,14 @@ class _Runner:
             self.events.append(Event(idx, t, p, incoming, outgoing))
             self.event_count += 1
             carried = {}
-            for line in order[start:end]:
-                seg = segments[line[0]]
+            for i in order[start:end]:
+                seg = segments[i]
                 seg.death_time, seg.death_event = t, idx
-                carried[line[2]] = line[3]
-            lines = self.open_site(p, outgoing, idx, carried)
-            order[start:end] = lines
-            shift += len(lines) - (end - start)
-            lefts += (start - 1, start + len(lines) - 1)
+                carried[seg.rank] = seg.intercept
+            ids = self.open_site(p, outgoing, idx, carried)
+            order[start:end] = ids
+            shift += len(ids) - (end - start)
+            lefts += (start - 1, start + len(ids) - 1)
         self.push_pairs(i for i in dict.fromkeys(lefts) if 0 <= i < len(order) - 1)
 
     def record(self) -> _Record:
@@ -404,9 +393,9 @@ def next_collision_delta(
     t = runner.next_time()
     if t is None:
         return None, []
-    order = runner.order
+    order, segments = runner.order, runner.segments
     groups = [
-        (p, frozenset(line[4] for line in order[start:end]))
+        (p, frozenset(segments[i].signal for i in order[start:end]))
         for start, end, p in runner.pop_groups(t)
     ]
     return t - state.time, groups
@@ -420,7 +409,7 @@ def advance(machine: SignalMachine, state: RunState) -> tuple[RunState, list[Eve
     if t is None:
         raise ValueError("no further collision: delta is infinite")
     runner.step(t)
-    return _state(runner.record(), runner.speeds, runner.segments), runner.events
+    return _state(runner.record(), runner.speeds, runner.segments, runner.solo), runner.events
 
 
 # -- full runs ------------------------------------------------------------------
@@ -438,7 +427,7 @@ def run(
     certificate from the optional analysis callback."""
     limits = limits or RunLimits()
     runner = _Runner(machine, config.sites, machine.ctx.zero(), 0)
-    snapshots = _Snapshots(runner.speeds, runner.segments)
+    snapshots = _Snapshots(runner.speeds, runner.segments, runner.solo)
     snapshots.append(runner.record())
     halt_reason = QUIESCENT
     halt_detail: Optional[MissingRuleError] = None

@@ -443,8 +443,8 @@ def test_scalar_ops_per_event_do_not_grow_with_live_signals(monkeypatch):
 
 
 @pytest.mark.parametrize("system, limits, bound", [
-    (build_sm4, RunLimits(max_events=200), 7.5),
-    (lambda: build_gcd(100, 3), None, 10),
+    (build_sm4, RunLimits(max_events=200), 6.5),
+    (lambda: build_gcd(100, 3), None, 9.0),
 ], ids=["sm4", "gcd(100,3)"])
 def test_scalar_ops_per_event_stay_within_the_collision_work(monkeypatch, system, limits, bound):
     """An event costs its meeting point, an intercept per outgoing speed that

@@ -62,6 +62,7 @@ def test_segments_agree_with_the_trajectory_condition():
         by_index = {e.index: e for e in diagram.events}
         for seg in diagram.segments:
             assert seg.speed == sp(seg.signal)
+            assert machine.distinct_speeds()[seg.rank] == seg.speed
             assert seg.intercept == seg.birth_position - seg.speed * seg.birth_time
             if seg.death_time is None:
                 continue
