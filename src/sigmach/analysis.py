@@ -298,9 +298,7 @@ def detect_periodicity(
             period = partner - first
             if 3 * period > horizon - t_start:
                 break
-            if first + period <= horizon and sig_at.get(first) != sig_at.get(
-                first + period
-            ):
+            if sig_at[first] != sig_at[partner]:
                 continue
             if restricted(t_start, horizon - period, period) == restricted(
                 t_start + period, horizon, zero

@@ -8,19 +8,13 @@ so CI can tell "inconclusive" from "wrong".
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 import sys
 from typing import Optional, Sequence
 
 from .analysis import ContractionSearch
-from .engine import (
-    EVENT_LIMIT,
-    MISSING_RULE,
-    QUIESCENT,
-    TIME_LIMIT,
-    RunLimits,
-    run,
-)
+from .engine import EVENT_LIMIT, MISSING_RULE, QUIESCENT, TIME_LIMIT, RunLimits, run
 from .mesh import MeshSpec, StripSpec, mesh_configuration, support_machine_nu
 from .presets import (
     ReadoutError,
@@ -35,9 +29,9 @@ from .presets import (
 from .scalars import FieldContext, format_scalar
 from .svg import render_diagram
 from .textio import MachineParseError, event_log_lines, init_lines, parse_machine_file
-from .verify import SUITES, suite_2speed_exhaustive
+from .verify import SUITES
 
-PRESETS = ("sm4", "sub", "mod", "gcd", "gcd-phi")
+ARITHMETIC = ("sub", "mod", "gcd")  # the presets that take operands
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,49 +40,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="sigmach", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    runp = sub.add_parser("run", help="simulate a machine file or preset")
-    src = runp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=PRESETS)
-    src.add_argument("--file", help="machine-definition file")
-    runp.add_argument("--a", default="11", help="first operand for arithmetic presets")
-    runp.add_argument("--b", default="3", help="second operand for arithmetic presets")
-    runp.add_argument("--max-events", type=int, default=10_000)
-    runp.add_argument("--max-time", default=None, help="exact scalar time bound")
-    runp.add_argument("--detect-accumulation", action="store_true")
-    runp.add_argument("--svg", metavar="PATH", help="write an SVG rendering")
-    runp.add_argument("--log", metavar="PATH", help="write the exact event log")
-
-    verp = sub.add_parser("verify", help="run a seeded property suite")
-    verp.add_argument("suite", choices=sorted(SUITES) + ["2speed-exhaustive"])
-    verp.add_argument("--seed", type=int, default=None, help="default 0")
-    verp.add_argument("--count", type=int, default=None, help="at least 1")
-    verp.add_argument("--horizon", default=None, help="exact scalar horizon (mesh suite)")
-
-    meshp = sub.add_parser("mesh", help="emit a mesh initial configuration")
-    meshp.add_argument("--p", type=int, required=True)
-    meshp.add_argument("--q", type=int, required=True)
-    meshp.add_argument("--x0", default="0")
-    meshp.add_argument("--w", default="1")
-    meshp.add_argument("--k", type=int, default=1)
-    return p
-
-
 def _load_system(args):
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             return parse_machine_file(fh.read()), None
-    if args.preset == "sm4":
-        return build_sm4(), None
-    builders = {"sub": build_subtraction, "mod": build_modulo, "gcd": build_gcd}
-    if args.preset in builders:
-        ctx = _operand_field(args.a, args.b)
-        a, b = ctx.parse(args.a), ctx.parse(args.b)
-        return builders[args.preset](a, b, ctx=ctx), args.preset
-    return build_gcd_phi(), None
+    if args.preset not in ARITHMETIC:
+        return (build_sm4() if args.preset == "sm4" else build_gcd_phi()), None
+    build = {"sub": build_subtraction, "mod": build_modulo, "gcd": build_gcd}[args.preset]
+    texts = ("11" if args.a is None else args.a, "3" if args.b is None else args.b)
+    ctx = _operand_field(*texts)
+    return build(*map(ctx.parse, texts), ctx=ctx), args.preset
 
 
 def _operand_field(*texts: str) -> FieldContext:
@@ -171,24 +132,22 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _suite_options(args) -> dict:
+    """The verify options given on the command line, by name."""
+    return {k: v for k in ("count", "seed", "horizon") if (v := getattr(args, k)) is not None}
+
+
 def _cmd_verify(args) -> int:
-    if args.suite == "2speed-exhaustive":
-        results = suite_2speed_exhaustive()
-    else:
-        suite = SUITES[args.suite]
-        kwargs = {"seed": args.seed or 0}
-        if args.count is not None:
-            kwargs["count"] = args.count
-        if args.horizon is not None:
-            try:
-                horizon = FieldContext(0).parse(args.horizon)
-                if horizon < 0:
-                    raise ValueError("horizon must be >= 0")
-                kwargs["horizon"] = horizon
-            except ValueError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return 1
-        results = suite(**kwargs)
+    options = _suite_options(args)
+    if "horizon" in options:
+        try:
+            options["horizon"] = horizon = FieldContext(0).parse(options["horizon"])
+            if horizon < 0:
+                raise ValueError("horizon must be >= 0")
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+    results = SUITES[args.suite](**options)
     failures = 0
     for r in results:
         status = "pass" if r.ok else "FAIL"
@@ -215,31 +174,65 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
+def _build_parser() -> _Parser:
+    p = _Parser(prog="sigmach", description=__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    runp = sub.add_parser("run", help="simulate a machine file or preset")
+    src = runp.add_mutually_exclusive_group(required=True)
+    src.add_argument("--preset", choices=("sm4", *ARITHMETIC, "gcd-phi"))
+    src.add_argument("--file", help="machine-definition file")
+    runp.add_argument("--a", help="first operand for arithmetic presets")
+    runp.add_argument("--b", help="second operand for arithmetic presets")
+    runp.add_argument("--max-events", type=int, default=10_000)
+    runp.add_argument("--max-time", default=None, help="exact scalar time bound")
+    runp.add_argument("--detect-accumulation", action="store_true")
+    runp.add_argument("--svg", metavar="PATH", help="write an SVG rendering")
+    runp.add_argument("--log", metavar="PATH", help="write the exact event log")
+    runp.set_defaults(handler=_cmd_run)
+
+    verp = sub.add_parser("verify", help="run a seeded property suite")
+    verp.add_argument("suite", choices=sorted(SUITES))
+    verp.add_argument("--seed", type=int, default=None, help="default 0")
+    verp.add_argument("--count", type=int, default=None, help="at least 1")
+    verp.add_argument("--horizon", default=None, help="exact scalar horizon (mesh suite)")
+    verp.set_defaults(handler=_cmd_verify)
+
+    meshp = sub.add_parser("mesh", help="emit a mesh initial configuration")
+    meshp.add_argument("--p", type=int, required=True)
+    meshp.add_argument("--q", type=int, required=True)
+    meshp.add_argument("--x0", default="0")
+    meshp.add_argument("--w", default="1")
+    meshp.add_argument("--k", type=int, default=1)
+    meshp.set_defaults(handler=_cmd_mesh)
+    return p
+
+
 def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    """The parsed command line; verify options that do not fit the chosen
-    suite are usage errors."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "verify":
-        return args
-    if args.count is not None and args.count < 1:
-        parser.error("argument --count: must be at least 1")
-    if args.suite == "2speed-exhaustive":
-        for option in ("count", "seed"):
+    """The parsed command line; operands for a machine without any, and
+    verify options that are no parameter of the chosen suite, are usage
+    errors."""
+    args = PARSER.parse_args(argv)
+    if args.command == "run" and args.preset not in ARITHMETIC:
+        for option in ("a", "b"):
             if getattr(args, option) is not None:
-                parser.error(f"argument --{option}: 2speed-exhaustive always runs all its cases")
-    if args.horizon is not None and args.suite != "mesh":
-        parser.error("argument --horizon: only the mesh suite takes a horizon")
+                PARSER.error(f"argument --{option}: only the sub/mod/gcd presets take operands")
+    if args.command == "verify":
+        if args.count is not None and args.count < 1:
+            PARSER.error("argument --count: must be at least 1")
+        takes = inspect.signature(SUITES[args.suite]).parameters
+        for option in _suite_options(args):
+            if option not in takes:
+                PARSER.error(f"argument --{option}: the {args.suite} suite takes no --{option}")
     return args
+
+
+PARSER = _build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    return _cmd_mesh(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -169,10 +169,10 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 # An outgoing signal of an incoming line's speed keeps that line's c exactly:
 # it leaves the same point at the same speed, so it is on that line.
 
-# What a step keeps of its state: (time, event count, fresh, segment ids of
-# the live lines), where the lines with id >= fresh are still at the site
-# they were opened at.
-_Record = tuple[Scalar, int, int, tuple[int, ...]]
+# What a step keeps of its state: (time, event count, segment ids of the
+# live lines).  A line is still at its birth point exactly when its birth
+# time is the record's time object, which `open_site` gives every new line.
+_Record = tuple[Scalar, int, tuple[int, ...]]
 # The one-signal set of each signal, built once per run and shared by its
 # sites in every state read, so a shape hashes each set once.
 _Solo = dict[MetaSignal, frozenset[MetaSignal]]
@@ -185,16 +185,16 @@ def _sites(
     one per line, except that neighbouring lines opened at the record's time
     at one point still share it.  `open_site` hands one point object to all
     the lines of a site, so birth points are compared by identity."""
-    fresh, ids = record[2], record[3]
+    time, _, ids = record
     sites: list[tuple[int, frozenset[MetaSignal]]] = []
-    born = None  # birth point of the last line, when it is fresh
+    born = None  # birth point of the last line, while it is still there
     for i in ids:
         seg = segments[i]
-        if i >= fresh and seg.birth_position is born:
+        if seg.birth_position is born:
             sites[-1] = (sites[-1][0], sites[-1][1] | solo[seg.signal])
         else:
             sites.append((i, solo[seg.signal]))
-            born = seg.birth_position if i >= fresh else None
+            born = seg.birth_position if seg.birth_time is time else None
     return sites
 
 
@@ -203,12 +203,12 @@ def _state(
 ) -> RunState:
     """The state of a record: each site at its first line's position, a line
     that is still at its birth point read from its segment."""
-    time, count, fresh, _ = record
+    time, count, _ = record
     moves = [v * time for v in speeds]
     sites: list[Site] = []
     for i, sigs in _sites(record, segments, solo):
         seg = segments[i]
-        p = seg.birth_position if i >= fresh else seg.intercept + moves[seg.rank]
+        p = seg.birth_position if seg.birth_time is time else seg.intercept + moves[seg.rank]
         sites.append((p, sigs))
     return RunState(time, tuple(sites), count)
 
@@ -261,10 +261,10 @@ class _Snapshots:
         recorded state at a step's own time, else the last step's lines
         moved to t, where none is still at its birth point."""
         i = bisect.bisect_right(self._records, t, key=lambda r: r[0]) - 1
-        time, count, _, ids = self._records[i]
+        time, count, ids = self._records[i]
         if time == t:
             return self[i]
-        return self._build((t, count, len(self._segments), ids))
+        return self._build((t, count, ids))
 
 
 class _Runner:
@@ -289,7 +289,6 @@ class _Runner:
         self.event_count = event_count
         self.events: list[Event] = []
         self.segments: list[Segment] = []
-        self.fresh = 0  # lines from this id on still sit where they were opened
         self.order: list[int] = []
         for p, sigs in sites:
             self.order += self.open_site(p, sigs, None, {})
@@ -361,7 +360,6 @@ class _Runner:
                 raise MissingRuleError(p, t, incoming)
             fired.append((start, end, p, incoming, outgoing))
         self.time = t
-        self.fresh = len(segments)
         # one pass, left to right: each group's lines die and its outgoing ones
         # take its place, moved by `shift`; both new edges may start a pair
         lefts, shift = [], 0
@@ -381,7 +379,7 @@ class _Runner:
         self.push_pairs(i for i in dict.fromkeys(lefts) if 0 <= i < len(order) - 1)
 
     def record(self) -> _Record:
-        return self.time, self.event_count, self.fresh, tuple(self.order)
+        return self.time, self.event_count, tuple(self.order)
 
 
 def next_collision_delta(

@@ -11,15 +11,14 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .scalars import FieldContext, Scalar, ScalarLike, as_scalar, is_commensurate
 
 RuleKey = frozenset["MetaSignal"]
 
 
-@dataclass(frozen=True)
-class MetaSignal:
+class MetaSignal(NamedTuple):
     """A signal type; every instance travels at the machine's speed for it."""
 
     name: str

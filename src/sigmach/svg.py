@@ -52,8 +52,6 @@ def render_diagram(
     for seg in diagram.segments:
         t0 = float(seg.birth_time)
         t1 = float(seg.death_time) if seg.death_time is not None else t_end
-        if t1 < t0:
-            continue
         x0 = float(seg.birth_position)
         x1 = float(seg.position_at(end_time if seg.death_time is None else seg.death_time))
         segs.append((seg.signal.name, x0, t0, x1, t1))

@@ -507,6 +507,7 @@ SUITES: dict[str, Callable[..., list[CaseResult]]] = {
     "scheduler": suite_scheduler,
     "run": suite_run,
     "2speed": suite_2speed,
+    "2speed-exhaustive": suite_2speed_exhaustive,
     "gcd": suite_gcd,
     "affine": suite_affine,
     "support": suite_support,

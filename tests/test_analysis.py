@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from sigmach.analysis import (
     diagram_included,
     two_speed_bound_check,
 )
-from sigmach.engine import MISSING_RULE, RunLimits, SpaceTimeDiagram, run
+from sigmach.engine import MISSING_RULE, RunLimits, RunState, SpaceTimeDiagram, run
 from sigmach.mesh import (
     StripSpec,
     strip_configuration,
@@ -129,6 +130,20 @@ class TestContraction:
             compares.clear()
             assert detect_contraction(diagram) is None
             assert len(builds) <= 2 * len(compares)
+
+    def test_one_site_states_are_never_compared(self):
+        # a single site fixes no ratio, so states of fewer than two sites
+        # are skipped even when their shapes agree
+        class States(list):
+            def shape(self, i):
+                return tuple(sigs for _, sigs in self[i].sites)
+
+        a = SignalMachine.build([("a", 1)]).by_name("a")
+        states = States(
+            RunState(Q.scalar(t), ((Q.scalar(Fraction(1, t + 1)), frozenset({a})),), t)
+            for t in range(3)
+        )
+        assert detect_contraction(SimpleNamespace(snapshots=states)) is None
 
 
 class TestPeriodicity:

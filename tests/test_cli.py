@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import shlex
@@ -173,6 +174,23 @@ class TestRunCommand:
         events = int(capsys.readouterr().out.split()[3])
         assert sorted(built) == sorted(compared | {events})
 
+    @pytest.mark.parametrize(
+        "system",
+        [["--preset", "sm4"], ["--preset", "gcd-phi"], ["--file", str(MACHINES / "sm4.machine")]],
+    )
+    @pytest.mark.parametrize("operand", ["--a", "--b"])
+    def test_operands_for_a_machine_without_any_exit_1(self, system, operand, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["run", *system, operand, "5", "--max-events", "3"])
+        assert stop.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {operand}: only the sub/mod/gcd presets take operands" in captured.err
+
+    def test_an_arithmetic_preset_defaults_its_operands(self, capsys):
+        assert main(["run", "--preset", "gcd"]) == 0
+        assert "result = 1" in capsys.readouterr().out.splitlines()
+
     def test_mixed_radical_operands_are_rejected(self, capsys):
         argv = ["run", "--preset", "gcd", "--a", "1*sqrt(3)", "--b=-1+1*sqrt(2)"]
         assert main(argv) == 1
@@ -316,8 +334,11 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_every_registered_suite_runs(self, suite, capsys):
-        assert main(["verify", suite, "--count", "2"]) == 0
-        assert capsys.readouterr().out.endswith(f"{suite}: 2/2 passed\n")
+        # a suite without a count runs all its cases
+        takes_count = "count" in inspect.signature(SUITES[suite]).parameters
+        assert main(["verify", suite, *(["--count", "2"] if takes_count else [])]) == 0
+        passed = "2/2" if takes_count else "36/36"
+        assert capsys.readouterr().out.endswith(f"{suite}: {passed} passed\n")
 
     def test_a_case_that_raises_is_one_fail_line(self, capsys, monkeypatch):
         calls, real = [], verify.random_state
@@ -383,6 +404,20 @@ class TestVerifyCommand:
         assert "36/36 passed" in capsys.readouterr().out
 
 
+class TestParser:
+    def test_two_calls_share_one_parser(self, capsys, monkeypatch):
+        built, real = [], cli._Parser.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", init)
+        assert main(["mesh", "--p", "1", "--q", "1"]) == 0
+        assert main(["verify", "2speed-exhaustive"]) == 0
+        assert built == []
+
+
 class TestMeshCommand:
     def test_emits_parsable_init_lines(self, capsys):
         assert main(["mesh", "--p", "2", "--q", "3", "--k", "2"]) == 0
@@ -390,6 +425,12 @@ class TestMeshCommand:
         lines = [l for l in out.splitlines() if l]
         assert all(l.startswith("init ") for l in lines)
         assert len(lines) == 2 * 5 + 1 + 2 * 3  # sites plus walls' extra L/R
+
+    def test_nonpositive_p_exits_1(self, capsys):
+        assert main(["mesh", "--p", "0", "--q", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: p and q must be positive\n"
 
     def test_mesh_output_runs(self, capsys, tmp_path):
         main(["mesh", "--p", "1", "--q", "1", "--k", "1"])

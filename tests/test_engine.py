@@ -120,6 +120,13 @@ class TestAdvance:
         assert err.value.time == Q.one()
         assert {m.name for m in err.value.incoming} == {"r", "s"}
 
+    def test_nothing_ahead_is_an_error(self):
+        machine = SignalMachine.build([("r", 1), ("s", 0)], [(("r", "s"), ("s",))])
+        config = InitialConfiguration.build(machine, [("s", 0), ("r", 1)])
+        with pytest.raises(ValueError) as err:
+            advance(machine, initial_state(machine, config))
+        assert err.value.args == ("no further collision: delta is infinite",)
+
 
 class TestRun:
     def test_modulo_walls_at_0_and_2(self):

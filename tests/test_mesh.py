@@ -24,7 +24,7 @@ from sigmach.mesh import (  # noqa: E402
     support_machine_nu,
     verify_mesh_inclusion,
 )
-from sigmach.model import InitialConfiguration, MachineError  # noqa: E402
+from sigmach.model import InitialConfiguration, MachineError, SignalMachine  # noqa: E402
 from sigmach.presets import PHI_CONTEXT, build_gcd, phi  # noqa: E402
 from sigmach.scalars import FieldContext, IncommensurateError  # noqa: E402
 from sigmach.verify import _desk_scale_mesh_case  # noqa: E402
@@ -189,6 +189,22 @@ class TestMeshVerification:
         )
         with pytest.raises(IncommensurateError):
             verify_mesh_inclusion(machine, config)
+
+    def test_a_two_speed_machine_is_rejected(self):
+        machine = SignalMachine.build([("r", 1), ("s", 0)], [(("r", "s"), ("s",))])
+        config = InitialConfiguration.build(machine, [("r", 0), ("s", 1)])
+        with pytest.raises(MachineError) as err:
+            verify_mesh_inclusion(machine, config)
+        assert err.value.args == ("mesh verification needs a 3-speed machine",)
+
+    def test_an_irrational_speed_ratio_is_rejected(self):
+        machine = SignalMachine.build(
+            [("l", -1), ("s", 0), ("r", phi())], [(("r", "s"), ("s",))], ctx=PHI_CONTEXT
+        )
+        config = InitialConfiguration.build(machine, [("r", 0), ("s", 1), ("l", 2)])
+        with pytest.raises(IncommensurateError) as err:
+            verify_mesh_inclusion(machine, config)
+        assert err.value.args == ("speed ratios are irrational: no mesh exists",)
 
     def test_mesh_event_structure_after_transient(self):
         machine, config = build_gcd(8, 3)

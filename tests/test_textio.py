@@ -169,6 +169,21 @@ class TestParseErrors:
         with pytest.raises(MachineParseError):
             parse_machine_file("speed a 1\n")
 
+    @pytest.mark.parametrize(
+        "text, line_no, reason",
+        [
+            ("field sqrt 5\nfield sqrt 5\n", 2, "duplicate field directive"),
+            ("field foo\n", 1, "expected 'field sqrt <d>', got 'foo'"),
+            ("signal a\n", 1, "expected 'signal <name> <speed>'"),
+            ("signal a 1\nrule a b\n", 2, "expected 'rule in[,in...] -> out[,out...]'"),
+            ("signal a 1\ninit a@x\n", 2, "bad position: malformed scalar: 'x'"),
+        ],
+    )
+    def test_malformed_directive(self, text, line_no, reason):
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file(text)
+        assert (err.value.line_no, err.value.reason) == (line_no, reason)
+
     def test_equal_input_speeds(self):
         text = "signal a 1\nsignal b 1\nsignal c 0\nrule a,b -> c\n"
         with pytest.raises(MachineParseError) as err:
