@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Optional
 
 from .engine import (
@@ -152,9 +152,10 @@ def contraction_replay_matches(
         (cert.center_x + cert.ratio * (p - cert.center_x), sigs)
         for p, sigs in base.sites
     ]
-    if tuple(scaled_sites) != configuration_at(diagram, cert.t2).sites:
+    image = configuration_at(diagram, cert.t2)
+    if tuple(scaled_sites) != image.sites:
         return False
-    window = [e for e in diagram.events if cert.t1 < e.time <= cert.t2]
+    window = diagram.events[base.event_count : image.event_count]
     if not window:
         return False
     replay = run(
@@ -185,6 +186,7 @@ _Span = tuple[Scalar, Optional[Scalar]]
 # not, since its two runs may come from different machines.
 _SIGNAL_LINE = attrgetter("signal", "speed", "intercept")
 _LINE = attrgetter("speed", "intercept")
+_POSITION = itemgetter(0)  # a site's position
 
 
 def _before(a: Optional[Scalar], b: Optional[Scalar]) -> bool:
@@ -224,7 +226,8 @@ def detect_periodicity(
     horizon: Optional[Scalar] = None,
 ) -> Optional[PeriodicityCertificate]:
     """Least (transient, period) making the windowed diagram exactly periodic
-    up to the horizon, decided on lines.
+    up to the horizon, decided on lines and, where the window is closed, on
+    states.
 
     Each line (signal, speed, x - speed*t) is merged up to the horizon and
     clipped to the window once, and each collision in the window is a point
@@ -237,6 +240,28 @@ def detect_periodicity(
     to the final state's time; the diagram must cover it.  A quiescent tail
     (no collision in the window and no moving signal in it after T) counts
     as periodic with a nominal period of a third of the remaining horizon.
+
+    The window is closed at T when no speed but the slowest is negative, no
+    speed but the fastest is positive, and in the state at T every site
+    left of the window holds only slowest signals and every site right of
+    it only fastest ones.  Then a candidate is decided by the window's sites
+    in the states at T and T + P and by the window's collisions at those
+    two instants, with the same answer as the pieces:
+    - Closure and equal states imply equal pieces.  Left of the window
+      every signal has the slowest speed, which is at most 0, and only
+      that speed can leave the window on that side; the right side is the
+      mirror image.  So nothing outside ever meets anything or comes back,
+      closure holds at every later time, and by determinism the window's
+      diagram after an instant depends on its sites at that instant alone.
+      Equal sites at T and T + P, and equal collisions at those instants,
+      make the pieces from T and from T + P equal up to any horizon: the
+      window is periodic forever, not only up to this one.
+    - Equal pieces imply equal states and equal collisions.  The pieces at
+      instant T hold the rule points and every line through the window at
+      T, the dying ones included; the window's sites at T are those lines
+      less the signals that a collision at T ends.  So a candidate that
+      the states reject, the pieces reject too.
+    Otherwise the pieces decide.  Each state is read once per call.
     """
     lo, hi = window
     if horizon is None:
@@ -246,7 +271,8 @@ def detect_periodicity(
     if not diagram.covers(horizon):
         raise ValueError("diagram does not cover the requested horizon")
 
-    zero = diagram.machine.ctx.zero()
+    machine = diagram.machine
+    zero = machine.ctx.zero()
     sig_at: dict[Scalar, set] = {}
     candidates = {zero}
     pieces: dict[tuple, list[_Span]] = {}
@@ -274,18 +300,25 @@ def detect_periodicity(
             last_move = max(last_move, inside[-1][1])
     candidates.update(t for spans in pieces.values() for span in spans for t in span)
 
-    def restricted(t0: Scalar, t1: Scalar, shift: Scalar) -> dict:
-        """Each line's pieces within [t0, t1], moved `shift` later in time."""
-        out = {}
-        for (tag, v, c), union in pieces.items():
-            part = [
-                (max(a, t0) + shift, min(b, t1) + shift)
-                for a, b in union
-                if a <= t1 and t0 <= b
-            ]
-            if part:
-                out[(tag, v, c - v * shift)] = part
-        return out
+    speeds = machine.distinct_speeds()
+    closable = speeds[0].sign() <= 0 <= speeds[-1].sign() and not any(
+        v.sign() for v in speeds[1:-1]
+    )
+    slowest = {ms for ms in machine.signals if machine.speed_of(ms) == speeds[0]}
+    fastest = {ms for ms in machine.signals if machine.speed_of(ms) == speeds[-1]}
+    states: dict[Scalar, tuple[bool, tuple]] = {}
+
+    def windowed(t: Scalar) -> tuple[bool, tuple]:
+        """Whether the window is closed at t, and its sites at t."""
+        if t not in states:
+            sites = diagram.snapshots.at(t).sites
+            i = bisect_left(sites, lo, key=_POSITION)
+            j = bisect_right(sites, hi, key=_POSITION)
+            closed = all(sigs <= slowest for _, sigs in sites[:i]) and all(
+                sigs <= fastest for _, sigs in sites[j:]
+            )
+            states[t] = (closed, sites[i:j])
+        return states[t]
 
     for t_start in sorted(candidates):
         if not we_times or we_times[-1] <= t_start:  # no later collision
@@ -300,11 +333,33 @@ def detect_periodicity(
                 break
             if sig_at[first] != sig_at[partner]:
                 continue
-            if restricted(t_start, horizon - period, period) == restricted(
-                t_start + period, horizon, zero
-            ):
+            closed, here = windowed(t_start) if closable else (False, ())
+            if closed:
+                later = t_start + period
+                repeats = here == windowed(later)[1] and sig_at.get(t_start) == sig_at.get(later)
+            else:
+                repeats = _shifted_pieces(
+                    pieces, t_start, horizon - period, period
+                ) == _shifted_pieces(pieces, t_start + period, horizon, zero)
+            if repeats:
                 return PeriodicityCertificate((lo, hi), t_start, period)
     return None
+
+
+def _shifted_pieces(
+    pieces: dict[tuple, list[_Span]], t0: Scalar, t1: Scalar, shift: Scalar
+) -> dict[tuple, list[_Span]]:
+    """Each line's pieces within [t0, t1], moved `shift` later in time."""
+    out = {}
+    for (tag, v, c), union in pieces.items():
+        part = [
+            (max(a, t0) + shift, min(b, t1) + shift)
+            for a, b in union
+            if a <= t1 and t0 <= b
+        ]
+        if part:
+            out[(tag, v, c - v * shift)] = part
+    return out
 
 
 # -- diagram inclusion ------------------------------------------------------------

@@ -471,7 +471,9 @@ def suite_mesh(
 ) -> list[CaseResult]:
     """Random rational 3-speed systems: support run embeds in its mesh, no
     event escapes the walls, the mesh is periodic, and neither the mesh nor
-    the support run admits a contraction certificate."""
+    the support run admits a contraction certificate.  A case whose only
+    fault is a periodicity left undecided by a horizon short of the mesh's
+    transient + 3 periods says so."""
 
     def case(rng: random.Random, _: int) -> str:
         machine, config = _desk_scale_mesh_case(rng)
@@ -479,6 +481,14 @@ def suite_mesh(
         supp_free = detect_contraction(report.support_diagram) is None
         if report.ok and supp_free:
             return ""
+        strip = report.spec.strip
+        bound = strip.transient_time + 3 * strip.period_candidate
+        others = (report.included, report.events_inside, report.mesh_contraction_free, supp_free)
+        if report.periodicity is None and all(others) and horizon is not None and horizon < bound:
+            return (
+                f"horizon {horizon} is short of this mesh's transient + 3 periods, "
+                f"{bound}: periodicity undecided"
+            )
         return (
             f"included={report.included} inside={report.events_inside} "
             f"periodic={report.periodicity is not None} "

@@ -229,22 +229,78 @@ class TestPeriodicity:
         got = None if cert is None else (cert.transient, cert.period)
         assert got == want
 
-    def test_decided_on_segments_alone(self, strip_diagram, monkeypatch):
+    def test_reads_each_state_once_and_no_configuration_at(self, strip_diagram, monkeypatch):
         def refuse(*_):
             raise AssertionError("configuration_at called")
 
+        reads, real = [], engine._Snapshots.at
+
+        def at(snaps, t):
+            reads.append(t)
+            return real(snaps, t)
+
         monkeypatch.setattr(analysis, "configuration_at", refuse)
-        no_snapshots = SpaceTimeDiagram(
-            strip_diagram.machine,
-            strip_diagram.initial,
-            strip_diagram.events,
-            strip_diagram.segments,
-            [],
-            strip_diagram.final_state,
-            strip_diagram.halt_reason,
-        )
-        cert = detect_periodicity(no_snapshots, (Q.zero(), Q.one()), Q.scalar(3))
+        monkeypatch.setattr(engine._Snapshots, "at", at)
+        cert = detect_periodicity(strip_diagram, (Q.zero(), Q.one()), Q.scalar(3))
         assert cert.serialize() == "PERIODIC window=[0,1] transient=1/2 period=1/2"
+        assert reads and len(set(reads)) == len(reads)
+
+    @staticmethod
+    def _count_decisions(monkeypatch):
+        """Count the shifted-piece comparisons and the state reads."""
+        counts = {"pieces": 0, "states": 0}
+        pieces, at = analysis._shifted_pieces, engine._Snapshots.at
+
+        def counted_pieces(*args):
+            counts["pieces"] += 1
+            return pieces(*args)
+
+        def counted_at(snaps, t):
+            counts["states"] += 1
+            return at(snaps, t)
+
+        monkeypatch.setattr(analysis, "_shifted_pieces", counted_pieces)
+        monkeypatch.setattr(engine._Snapshots, "at", counted_at)
+        return counts
+
+    def test_a_signal_that_re_enters_is_decided_on_pieces(self, monkeypatch):
+        # a shuttle bounces between walls at 1 and 2 with period 2; the l
+        # leaving the window [0, 3] bounces off the stationary s at -1 and
+        # comes back in as r, which a wall absorbs at t = 7/2.  The window's
+        # states and collisions at 2 and 4 are equal, but s and r sit left
+        # of the window at 2, so only the pieces can decide, and they see r
+        machine = SignalMachine.build(
+            [("w", 0), ("s", 0), ("zr", 1), ("zl", -1), ("l", -1), ("r", 1)],
+            [
+                (("zr", "w"), ("zl", "w")),
+                (("zl", "w"), ("zr", "w")),
+                (("l", "s"), ("r", "s")),
+                (("r", "w"), ("w",)),
+            ],
+        )
+        config = InitialConfiguration.build(
+            machine, [("s", -1), ("l", Fraction(1, 2)), ("w", 1), ("zr", 1), ("w", 2)]
+        )
+        diagram = run(machine, config, RunLimits(max_time=Q.scalar(12)))
+        counts = self._count_decisions(monkeypatch)
+        cert = detect_periodicity(diagram, (Q.zero(), Q.scalar(3)), Q.scalar(12))
+        assert cert.serialize() == "PERIODIC window=[0,3] transient=4 period=2"
+        assert counts["pieces"] > 0
+
+    def test_two_negative_speeds_are_never_closed(self, monkeypatch):
+        # the same shuttle alone, in a machine that also has a speed -2: a
+        # second negative speed could re-enter from the left, so no state
+        # is read and every candidate goes to the pieces
+        machine = SignalMachine.build(
+            [("w", 0), ("zr", 1), ("zl", -1), ("fast", -2)],
+            [(("zr", "w"), ("zl", "w")), (("zl", "w"), ("zr", "w"))],
+        )
+        config = InitialConfiguration.build(machine, [("w", 1), ("zr", 1), ("w", 2)])
+        diagram = run(machine, config, RunLimits(max_time=Q.scalar(12)))
+        counts = self._count_decisions(monkeypatch)
+        cert = detect_periodicity(diagram, (Q.zero(), Q.scalar(3)), Q.scalar(12))
+        assert cert.serialize() == "PERIODIC window=[0,3] transient=1 period=2"
+        assert counts["pieces"] > 0 and counts["states"] == 0
 
     def test_default_horizon_is_the_final_state_time(self):
         # r bounces off w at t = 2 and meets the other r at t = 4, where no

@@ -332,6 +332,21 @@ class TestVerifyCommand:
         assert main(["verify", "mesh", "--horizon", "30", "--count", "2"]) == 0
         assert capsys.readouterr().out.endswith("mesh: 2/2 passed\n")
 
+    def test_a_short_horizon_leaves_periodicity_undecided(self, capsys):
+        assert main(["verify", "mesh", "--horizon", "0", "--count", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "case    0: FAIL  horizon 0 is short of this mesh's transient + 3 periods, "
+            "45/2: periodicity undecided\nmesh: 0/1 passed\n"
+        )
+        assert main(["verify", "mesh", "--horizon", "10", "--count", "3"]) == 1
+        short = "FAIL  horizon 10 is short of this mesh's transient + 3 periods"
+        assert capsys.readouterr().out.splitlines() == [
+            f"case    0: {short}, 45/2: periodicity undecided",
+            "case    1: pass",
+            f"case    2: {short}, 44/3: periodicity undecided",
+            "mesh: 1/3 passed",
+        ]
+
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_every_registered_suite_runs(self, suite, capsys):
         # a suite without a count runs all its cases

@@ -9,6 +9,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "bench"))
 
 import oracles  # noqa: E402
+import sigmach.analysis as analysis  # noqa: E402
+import sigmach.engine as engine  # noqa: E402
+import sigmach.mesh as mesh  # noqa: E402
 from sigmach.analysis import diagram_included  # noqa: E402
 from sigmach.engine import RunLimits, run  # noqa: E402
 from sigmach.mesh import (  # noqa: E402
@@ -255,3 +258,36 @@ class TestMeshVerification:
                 assert diagram_included(inner, outer) == expected
                 verdicts.add(expected)
         assert verdicts == {True, False}
+
+    def test_every_mesh_window_is_decided_by_states(self, monkeypatch):
+        # the mesh span is closed: its walls shed only -1 signals to the left
+        # and p/q signals to the right, so no candidate falls back to the
+        # shifted pieces, and each candidate time's state is read once
+        reads, fallbacks = [], []
+        real_at, real_pieces, real_detect = (
+            engine._Snapshots.at,
+            analysis._shifted_pieces,
+            mesh.detect_periodicity,
+        )
+
+        def at(snaps, t):
+            reads.append(t)
+            return real_at(snaps, t)
+
+        def shifted_pieces(*args):
+            fallbacks.append(args)
+            return real_pieces(*args)
+
+        def detect_periodicity(*args):
+            reads.clear()
+            cert = real_detect(*args)
+            assert reads and len(set(reads)) == len(reads)
+            return cert
+
+        monkeypatch.setattr(engine._Snapshots, "at", at)
+        monkeypatch.setattr(analysis, "_shifted_pieces", shifted_pieces)
+        monkeypatch.setattr(mesh, "detect_periodicity", detect_periodicity)
+        rng = random.Random(20260810)
+        for _ in range(12):
+            assert verify_mesh_inclusion(*_desk_scale_mesh_case(rng)).periodicity is not None
+        assert fallbacks == []
