@@ -261,9 +261,18 @@ def detect_periodicity(
       T, the dying ones included; the window's sites at T are those lines
       less the signals that a collision at T ends.  So a candidate that
       the states reject, the pieces reject too.
-    Otherwise the pieces decide.  Each state is read once per call.
+    Closure is read from the lines.  A line is on the wrong side while it is
+    outside the window at a speed not allowed there: a moving line before it
+    enters (a fastest one on the left, a slowest one on the right), or a
+    stationary line left of the window unless 0 is the slowest speed, or
+    right of it unless 0 is the fastest.  These stretches are half-open,
+    [birth, end), like the states, and closure is monotone in T, so the
+    window is closed exactly from the last stretch end on.  Before that the
+    pieces decide, so an open window reads no state; each state is read once.
     """
     lo, hi = window
+    if hi < lo:
+        raise ValueError("window is reversed: its left end is right of its right end")
     if horizon is None:
         if diagram.horizon is None:
             raise ValueError("horizon required: diagram is unbounded")
@@ -285,39 +294,38 @@ def detect_periodicity(
                 pieces.setdefault(rule_line, []).append((e.time, e.time))
     we_times = sorted(sig_at)
 
+    speeds = machine.distinct_speeds()
+    closable = speeds[0].sign() <= 0 <= speeds[-1].sign() and not any(
+        v.sign() for v in speeds[1:-1]
+    )
+    closed = zero if closable else None  # closed from this time on; None: never
     last_move = zero  # latest time a mover is in the window
     for (ms, v, c), union in _lines(diagram, horizon, _SIGNAL_LINE).items():
         if v.sign() == 0:
             if lo <= c <= hi:
                 pieces[(ms, v, c)] = union
+            elif closable and (speeds[0] if c < lo else speeds[-1]).sign():
+                closed = max(closed, union[-1][1])
             continue
         enter, leave = (lo - c) / v, (hi - c) / v
         if v.sign() < 0:
             enter, leave = leave, enter
+        if closable:
+            closed = max([closed] + [min(b, enter) for a, b in union if a < enter])
         inside = [(max(a, enter), min(b, leave)) for a, b in union if a <= leave and enter <= b]
         if inside:
             pieces[(ms, v, c)] = inside
             last_move = max(last_move, inside[-1][1])
     candidates.update(t for spans in pieces.values() for span in spans for t in span)
 
-    speeds = machine.distinct_speeds()
-    closable = speeds[0].sign() <= 0 <= speeds[-1].sign() and not any(
-        v.sign() for v in speeds[1:-1]
-    )
-    slowest = {ms for ms in machine.signals if machine.speed_of(ms) == speeds[0]}
-    fastest = {ms for ms in machine.signals if machine.speed_of(ms) == speeds[-1]}
-    states: dict[Scalar, tuple[bool, tuple]] = {}
+    states: dict[Scalar, tuple] = {}
 
-    def windowed(t: Scalar) -> tuple[bool, tuple]:
-        """Whether the window is closed at t, and its sites at t."""
+    def windowed(t: Scalar) -> tuple:
+        """The window's sites at t."""
         if t not in states:
             sites = diagram.snapshots.at(t).sites
             i = bisect_left(sites, lo, key=_POSITION)
-            j = bisect_right(sites, hi, key=_POSITION)
-            closed = all(sigs <= slowest for _, sigs in sites[:i]) and all(
-                sigs <= fastest for _, sigs in sites[j:]
-            )
-            states[t] = (closed, sites[i:j])
+            states[t] = sites[i : bisect_right(sites, hi, i, key=_POSITION)]
         return states[t]
 
     for t_start in sorted(candidates):
@@ -333,10 +341,10 @@ def detect_periodicity(
                 break
             if sig_at[first] != sig_at[partner]:
                 continue
-            closed, here = windowed(t_start) if closable else (False, ())
-            if closed:
+            if closed is not None and closed <= t_start:
                 later = t_start + period
-                repeats = here == windowed(later)[1] and sig_at.get(t_start) == sig_at.get(later)
+                repeats = windowed(t_start) == windowed(later)
+                repeats = repeats and sig_at.get(t_start) == sig_at.get(later)
             else:
                 repeats = _shifted_pieces(
                     pieces, t_start, horizon - period, period

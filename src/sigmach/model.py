@@ -346,11 +346,10 @@ def support_configuration(
 # -- speed normalization -------------------------------------------------------
 
 
-def normalize_speeds(
-    machine: SignalMachine, config: InitialConfiguration
-) -> tuple[SignalMachine, InitialConfiguration, AffineMap]:
+def normalize_speeds(machine: SignalMachine) -> tuple[SignalMachine, AffineMap]:
     """Affinely renames speeds to {0, 1} (two speeds) or {-1, 0, nu} with
-    nu > 0 (three speeds).  Initial positions are untouched."""
+    nu > 0 (three speeds).  Positions are untouched, so a configuration of
+    the machine is one of the renamed machine too."""
     speeds = machine.distinct_speeds()
     one, zero = machine.ctx.one(), machine.ctx.zero()
     if len(speeds) == 2:
@@ -363,4 +362,4 @@ def normalize_speeds(
         raise MachineError(
             f"normalization needs 2 or 3 distinct speeds, got {len(speeds)}"
         )
-    return apply_affine_to_machine(machine, amap), config, amap
+    return apply_affine_to_machine(machine, amap), amap

@@ -50,6 +50,73 @@ def strip_diagram():
     return run(machine, config, RunLimits(max_events=4000, max_time=Q.scalar(3)))
 
 
+def _shuttle_machine(signals=(), rules=()):
+    """A shuttle zr/zl bouncing between walls w, plus the given signals and
+    rules."""
+    return SignalMachine.build(
+        [("w", 0), ("zr", 1), ("zl", -1), *signals],
+        [(("zr", "w"), ("zl", "w")), (("zl", "w"), ("zr", "w")), *rules],
+    )
+
+
+def _shuttle_run(machine, *placements):
+    """The shuttle between walls at 1 and 2 (period 2) with the given extra
+    placements, run to t = 12."""
+    config = InitialConfiguration.build(
+        machine, [*placements, ("w", 1), ("zr", 1), ("w", 2)]
+    )
+    return run(machine, config, RunLimits(max_time=Q.scalar(12)))
+
+
+def _re_entry():
+    """l leaves [0, 3], bounces off the stationary s at -1 and comes back in
+    as r, which a wall absorbs at t = 7/2."""
+    machine = _shuttle_machine(
+        [("s", 0), ("l", -1), ("r", 1)], [(("l", "s"), ("r", "s")), (("r", "w"), ("w",))]
+    )
+    return _shuttle_run(machine, ("s", -1), ("l", Fraction(1, 2)))
+
+
+def _two_negative_speeds():
+    """The shuttle alone, in a machine that also has a speed -2."""
+    return _shuttle_run(_shuttle_machine([("fast", -2)]))
+
+
+def _closes_at_2():
+    """f, at the fastest speed 1 from x = -2, enters [0, 3] at t = 2 and is
+    absorbed by the wall at 1 at t = 3."""
+    machine = _shuttle_machine([("f", 1)], [(("f", "w"), ("w",))])
+    return _shuttle_run(machine, ("f", -2))
+
+
+def _reborn_outside():
+    """g kills the stationary s at -4 at t = 1, and another g meets an l
+    leaving [0, 3] at (-4, 9/2), where s is born again for good; a second l
+    enters from the right and a wall absorbs it at t = 9/2."""
+    machine = _shuttle_machine(
+        [("s", 0), ("g", 1), ("l", -1)],
+        [(("g", "s"), ()), (("g", "l"), ("s",)), (("l", "w"), ("w",))],
+    )
+    placements = [("g", Fraction(-17, 2)), ("g", -5), ("s", -4), ("l", Fraction(1, 2))]
+    return _shuttle_run(machine, *placements, ("l", Fraction(13, 2)))
+
+
+def _closed_by_state(diagram, window, t):
+    """Brute-force closure at t: no speed but the slowest is negative, no
+    speed but the fastest positive, and in the state at t only slowest
+    signals left of the window and only fastest ones right of it."""
+    machine = diagram.machine
+    speeds = machine.distinct_speeds()
+    if any(v.sign() < 0 for v in speeds[1:]) or any(v.sign() > 0 for v in speeds[:-1]):
+        return False
+    lo, hi = window
+    for x, sigs in diagram.snapshots.at(t).sites:
+        side = speeds[0] if x < lo else speeds[-1] if x > hi else None
+        if side is not None and any(machine.speed_of(ms) != side for ms in sigs):
+            return False
+    return True
+
+
 class TestContraction:
     def test_sm4_certificate_is_exact(self, sm4_diagram):
         cert = detect_contraction(sm4_diagram)
@@ -246,61 +313,107 @@ class TestPeriodicity:
         assert reads and len(set(reads)) == len(reads)
 
     @staticmethod
-    def _count_decisions(monkeypatch):
-        """Count the shifted-piece comparisons and the state reads."""
-        counts = {"pieces": 0, "states": 0}
+    def _record_decisions(monkeypatch):
+        """The times whose states are read, and the transient T of every
+        candidate sent to the pieces (the first call of each pair starts at
+        T)."""
+        reads, starts = [], []
         pieces, at = analysis._shifted_pieces, engine._Snapshots.at
 
-        def counted_pieces(*args):
-            counts["pieces"] += 1
+        def recorded_pieces(*args):
+            starts.append(args[1])
             return pieces(*args)
 
-        def counted_at(snaps, t):
-            counts["states"] += 1
+        def recorded_at(snaps, t):
+            reads.append(t)
             return at(snaps, t)
 
-        monkeypatch.setattr(analysis, "_shifted_pieces", counted_pieces)
-        monkeypatch.setattr(engine._Snapshots, "at", counted_at)
-        return counts
+        monkeypatch.setattr(analysis, "_shifted_pieces", recorded_pieces)
+        monkeypatch.setattr(engine._Snapshots, "at", recorded_at)
+        return reads, starts
 
     def test_a_signal_that_re_enters_is_decided_on_pieces(self, monkeypatch):
-        # a shuttle bounces between walls at 1 and 2 with period 2; the l
-        # leaving the window [0, 3] bounces off the stationary s at -1 and
-        # comes back in as r, which a wall absorbs at t = 7/2.  The window's
-        # states and collisions at 2 and 4 are equal, but s and r sit left
-        # of the window at 2, so only the pieces can decide, and they see r
-        machine = SignalMachine.build(
-            [("w", 0), ("s", 0), ("zr", 1), ("zl", -1), ("l", -1), ("r", 1)],
-            [
-                (("zr", "w"), ("zl", "w")),
-                (("zl", "w"), ("zr", "w")),
-                (("l", "s"), ("r", "s")),
-                (("r", "w"), ("w",)),
-            ],
-        )
-        config = InitialConfiguration.build(
-            machine, [("s", -1), ("l", Fraction(1, 2)), ("w", 1), ("zr", 1), ("w", 2)]
-        )
-        diagram = run(machine, config, RunLimits(max_time=Q.scalar(12)))
-        counts = self._count_decisions(monkeypatch)
+        # the window's states and collisions at 2 and 4 are equal, but s and
+        # r sit left of the window at 2, so only the pieces can decide, and
+        # they see r come back; s never leaves, so no state is read
+        diagram = _re_entry()
+        reads, starts = self._record_decisions(monkeypatch)
         cert = detect_periodicity(diagram, (Q.zero(), Q.scalar(3)), Q.scalar(12))
         assert cert.serialize() == "PERIODIC window=[0,3] transient=4 period=2"
-        assert counts["pieces"] > 0
+        assert starts and reads == []
 
     def test_two_negative_speeds_are_never_closed(self, monkeypatch):
-        # the same shuttle alone, in a machine that also has a speed -2: a
-        # second negative speed could re-enter from the left, so no state
+        # a second negative speed could re-enter from the left, so no state
         # is read and every candidate goes to the pieces
-        machine = SignalMachine.build(
-            [("w", 0), ("zr", 1), ("zl", -1), ("fast", -2)],
-            [(("zr", "w"), ("zl", "w")), (("zl", "w"), ("zr", "w"))],
-        )
-        config = InitialConfiguration.build(machine, [("w", 1), ("zr", 1), ("w", 2)])
-        diagram = run(machine, config, RunLimits(max_time=Q.scalar(12)))
-        counts = self._count_decisions(monkeypatch)
+        diagram = _two_negative_speeds()
+        reads, starts = self._record_decisions(monkeypatch)
         cert = detect_periodicity(diagram, (Q.zero(), Q.scalar(3)), Q.scalar(12))
         assert cert.serialize() == "PERIODIC window=[0,3] transient=1 period=2"
-        assert counts["pieces"] > 0 and counts["states"] == 0
+        assert starts and reads == []
+
+    def test_closure_read_from_lines_agrees_with_states(self, strip_diagram, monkeypatch):
+        # every state read must be at a time the window is closed by the
+        # brute-force check on the state, and every candidate sent to the
+        # pieces at a time it is open
+        report = verify_mesh_inclusion(*build_gcd(8, 3))
+        meshed = report.mesh_diagram
+        lo, hi = (x.a for x in report.spec.span)
+        mid, third = (lo + hi) / 2, Fraction(1, 3)
+        cases = [
+            (strip_diagram, w, 3)
+            for w in [(0, 1), (0, Fraction(1, 2)), (Fraction(1, 2), 1), (-1, 2), (third, third)]
+        ]
+        cases += [
+            (meshed, w, meshed.horizon.a)
+            for w in [(lo, hi), (lo, mid), (mid, hi), (lo - 1, hi + 1), (lo, lo), (hi, hi)]
+        ]
+        for diagram in (_re_entry(), _two_negative_speeds(), _closes_at_2(), _reborn_outside()):
+            cases += [(diagram, (0, right), 12) for right in (1, 3, 4)]
+        reads, starts = self._record_decisions(monkeypatch)
+        closed, opened = 0, 0
+        for diagram, window, horizon in cases:
+            window = tuple(Q.scalar(x) for x in window)
+            reads.clear()
+            starts.clear()
+            detect_periodicity(diagram, window, Q.scalar(horizon))
+            read_at, sent_at = list(reads), starts[::2]
+            assert all(_closed_by_state(diagram, window, t) for t in read_at), window
+            assert not any(_closed_by_state(diagram, window, t) for t in sent_at), window
+            closed, opened = closed + len(read_at), opened + len(sent_at)
+        assert closed > 0 and opened > 0
+
+    @pytest.mark.parametrize(
+        "window, closed",
+        [((0, Fraction(1, 2)), False), ((Fraction(2, 5), Fraction(2, 5)), False), ((-1, 2), True)],
+    )
+    def test_strip_windows_read_states_only_when_closed(
+        self, strip_diagram, window, closed, monkeypatch
+    ):
+        # stationary signals right of [0, 1/2] and of 2/5 sit there for good,
+        # and 0 is not the fastest speed, so those windows never close; only
+        # -1 signals leave [-1, 2] on the left and only 2/3 ones on the
+        # right, so it is closed from t = 0
+        reads, starts = self._record_decisions(monkeypatch)
+        cert = detect_periodicity(strip_diagram, tuple(Q.scalar(x) for x in window), Q.scalar(3))
+        assert cert is not None
+        assert (bool(reads), bool(starts)) == (closed, not closed)
+
+    def test_a_window_closes_once_a_fastest_signal_enters(self, monkeypatch):
+        # f, at speed 1 from x = -2, is left of [0, 3] until it enters at
+        # t = 2; the candidate at 0 goes to the pieces, later ones to states
+        diagram = _closes_at_2()
+        reads, starts = self._record_decisions(monkeypatch)
+        cert = detect_periodicity(diagram, (Q.zero(), Q.scalar(3)), Q.scalar(12))
+        assert cert.serialize() == "PERIODIC window=[0,3] transient=4 period=2"
+        assert starts[::2] == [Q.zero()]
+        assert reads and min(reads) == Q.scalar(2)
+
+    def test_a_reversed_window_is_rejected(self, strip_diagram):
+        with pytest.raises(ValueError, match="reversed"):
+            detect_periodicity(strip_diagram, (Q.one(), Q.zero()), Q.scalar(3))
+        # checked before the horizon: this one is not covered either
+        with pytest.raises(ValueError, match="reversed"):
+            detect_periodicity(strip_diagram, (Q.one(), Q.zero()), Q.scalar(4))
 
     def test_default_horizon_is_the_final_state_time(self):
         # r bounces off w at t = 2 and meets the other r at t = 4, where no

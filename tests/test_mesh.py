@@ -12,7 +12,7 @@ import oracles  # noqa: E402
 import sigmach.analysis as analysis  # noqa: E402
 import sigmach.engine as engine  # noqa: E402
 import sigmach.mesh as mesh  # noqa: E402
-from sigmach.analysis import diagram_included  # noqa: E402
+from sigmach.analysis import detect_contraction, diagram_included  # noqa: E402
 from sigmach.engine import RunLimits, run  # noqa: E402
 from sigmach.mesh import (  # noqa: E402
     LEFT,
@@ -182,7 +182,7 @@ class TestMeshVerification:
         assert report.included
         assert report.events_inside
         assert report.periodicity is not None
-        assert report.mesh_contraction_free
+        assert detect_contraction(report.mesh_diagram) is None
         assert report.ok
 
     def test_gcd_phi_reports_embedding_error(self):
@@ -289,5 +289,7 @@ class TestMeshVerification:
         monkeypatch.setattr(mesh, "detect_periodicity", detect_periodicity)
         rng = random.Random(20260810)
         for _ in range(12):
-            assert verify_mesh_inclusion(*_desk_scale_mesh_case(rng)).periodicity is not None
+            report = verify_mesh_inclusion(*_desk_scale_mesh_case(rng))
+            assert report.periodicity is not None
+            assert detect_contraction(report.mesh_diagram) is None
         assert fallbacks == []

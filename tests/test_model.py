@@ -212,7 +212,7 @@ class TestClassify:
                 [(f"s{i}", v) for i, v in enumerate(speeds)], ctx=q5
             )
             config = InitialConfiguration.build(machine, [("s0", 0)])
-            nu = normalize_speeds(machine, config)[0].distinct_speeds()[-1]
+            nu = normalize_speeds(machine)[0].distinct_speeds()[-1]
             verdict = classify(machine, config).rational_like_machine
             assert verdict == (nu.b == 0)
             verdicts.add(verdict)
@@ -248,9 +248,7 @@ class TestAffine:
         machine = SignalMachine.build(
             [("a", Fraction(-1, 2)), ("b", Fraction(1, 2)), ("c", 3)]
         )
-        normalized, _, _ = normalize_speeds(
-            machine, InitialConfiguration.build(machine, [("a", 0)])
-        )
+        normalized, _ = normalize_speeds(machine)
         assert [str(s) for s in normalized.distinct_speeds()] == ["-1", "0", "5/2"]
 
     def test_config_inverse_image_scaling(self):
@@ -331,17 +329,13 @@ class TestSupport:
 class TestNormalize:
     def test_two_speed(self):
         machine = SignalMachine.build([("a", 1), ("b", phi(PHI_CONTEXT))], ctx=PHI_CONTEXT)
-        normalized, _, amap = normalize_speeds(
-            machine, InitialConfiguration.build(machine, [("a", 0)])
-        )
+        normalized, amap = normalize_speeds(machine)
         assert [str(s) for s in normalized.distinct_speeds()] == ["0", "1"]
         assert amap.ratio.sign() > 0
 
     def test_already_normalized_is_identity(self):
         machine = SignalMachine.build([("a", 0), ("b", 1)])
-        normalized, _, amap = normalize_speeds(
-            machine, InitialConfiguration.build(machine, [("a", 0)])
-        )
+        normalized, amap = normalize_speeds(machine)
         assert amap.ratio == Q.one() and amap.offset == Q.zero()
         assert normalized.speed == machine.speed
 
@@ -349,15 +343,13 @@ class TestNormalize:
         rng = random.Random(9)
         for _ in range(25):
             machine = random_machine(rng, 3)
-            config = random_configuration(rng, machine)
-            normalized, _, _ = normalize_speeds(machine, config)
-            nu = normalized.distinct_speeds()[-1]
+            nu = normalize_speeds(machine)[0].distinct_speeds()[-1]
             assert nu.b == 0 and nu.sign() > 0
 
     def test_wrong_speed_count(self):
         machine, _ = build_sm4()
         with pytest.raises(MachineError):
-            normalize_speeds(machine, InitialConfiguration([]))
+            normalize_speeds(machine)
 
 
 class TestSupportInclusionStructure:
