@@ -28,7 +28,7 @@ from .engine import (
     run,
 )
 from .model import InitialConfiguration, MachineError, SignalMachine
-from .scalars import Scalar
+from .scalars import Scalar, affine, scaled_difference
 
 
 @dataclass(frozen=True)
@@ -147,26 +147,25 @@ def contraction_replay_matches(
     """Soundness check: the t2 configuration must be the homothetic image of
     the t1 configuration, site by site, and re-simulating from that image
     must reproduce the (t1, t2] events scaled by the ratio about the center."""
+    center, ratio = cert.center_x, cert.ratio
     base = configuration_at(diagram, cert.t1)
-    scaled_sites = [
-        (cert.center_x + cert.ratio * (p - cert.center_x), sigs)
-        for p, sigs in base.sites
-    ]
+    scaled_sites = [(affine(center, ratio, p - center), sigs) for p, sigs in base.sites]
     image = configuration_at(diagram, cert.t2)
     if tuple(scaled_sites) != image.sites:
         return False
     window = diagram.events[base.event_count : image.event_count]
     if not window:
         return False
+    span = scaled_difference(cert.t2, cert.t1, ratio)
     replay = run(
         diagram.machine,
         InitialConfiguration(scaled_sites),
-        RunLimits(max_events=len(window) + 1, max_time=cert.ratio * (cert.t2 - cert.t1)),
+        RunLimits(max_events=len(window) + 1, max_time=span),
     )
     expected = sorted(
         (
-            cert.ratio * (e.time - cert.t1),
-            cert.center_x + cert.ratio * (e.position - cert.center_x),
+            scaled_difference(e.time, cert.t1, ratio),
+            affine(center, ratio, e.position - center),
             e.incoming,
             e.outgoing,
         )
@@ -358,7 +357,7 @@ def _shifted_pieces(
     pieces: dict[tuple, list[_Span]], t0: Scalar, t1: Scalar, shift: Scalar
 ) -> dict[tuple, list[_Span]]:
     """Each line's pieces within [t0, t1], moved `shift` later in time."""
-    out = {}
+    out, back = {}, -shift
     for (tag, v, c), union in pieces.items():
         part = [
             (max(a, t0) + shift, min(b, t1) + shift)
@@ -366,7 +365,7 @@ def _shifted_pieces(
             if a <= t1 and t0 <= b
         ]
         if part:
-            out[(tag, v, c - v * shift)] = part
+            out[(tag, v, affine(c, v, back))] = part
     return out
 
 
@@ -393,11 +392,11 @@ def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:
             if lo == hi:  # born at cap: a single point
                 if at_cap is None:
                     at_cap = {
-                        oc + ov * cap
+                        affine(oc, ov, cap)
                         for (ov, oc), merged in outer_lines.items()
                         if merged[-1][1] == cap
                     }
-                if c + v * cap not in at_cap:
+                if affine(c, v, cap) not in at_cap:
                     return False
                 continue
             i = bisect_right(starts, lo) - 1

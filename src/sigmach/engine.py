@@ -5,13 +5,14 @@ steps and full runs.
 records every live signal once, as its `Segment`, the line x = intercept +
 speed*t, and keeps the segment ids in spatial order and the meeting times of
 neighbouring lines in a heap, so an event costs work for the signals that
-collide, not for every live one: a meeting point, an intercept per outgoing
-speed that no incoming line had, and a subtraction and a product per new
-neighbour pair.  The test suite checks its next meeting against a brute-force
-all-pairs oracle through `next_collision_delta`, and whole runs against
-`verify.brute_force_run`.  All collision coordinates are exact scalars, so
-simultaneous and multi-way collisions group by exact meeting time with no
-tie-breaking.  A run records only the ids of the live lines after each step;
+collide, not for every live one: one fused kernel call of `sigmach.scalars`
+for its meeting point, one per outgoing speed that no incoming line had, and
+one per new neighbour pair.  The test suite checks its next meeting against a
+brute-force all-pairs oracle through `next_collision_delta`, and whole runs
+against `verify.brute_force_run`, which uses plain operators and so checks the
+kernels too.  All collision coordinates are exact scalars, so simultaneous and
+multi-way collisions group by exact meeting time with no tie-breaking.  A run
+records only the ids of the live lines after each step;
 `SpaceTimeDiagram.snapshots` is the one reader of that record: it builds a
 step's `RunState` when first read, for `configuration_at` and the final state.
 """
@@ -21,10 +22,10 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .model import InitialConfiguration, MetaSignal, SignalMachine, Site
-from .scalars import Scalar
+from .scalars import Scalar, affine, scaled_difference
 
 QUIESCENT = "quiescent"
 TIME_LIMIT = "time_limit"
@@ -45,8 +46,7 @@ class RunState:
         return tuple(p for p, _ in self.sites)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     index: int
     time: Scalar
     position: Scalar
@@ -75,7 +75,7 @@ class Segment:
     death_event: Optional[int] = None
 
     def position_at(self, t: Scalar) -> Scalar:
-        return self.intercept + self.speed * t
+        return affine(self.intercept, self.speed, t)
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,12 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 # pairs, so an event costs O(k log n) for k colliding signals, as in the
 # kinetic sorted list of Basch, Guibas and Hershberger ("Data structures for
 # mobile data", 1999) and the Bentley-Ottmann sweep.
-# A collision computes its meeting point, then c = p - v*t only for outgoing
-# speeds that no incoming line had, and for each new neighbour pair
-# (c_right - c_left) * 1/(v_left - v_right), the reciprocal stored per runner.
+# A collision computes its meeting point c + v*t, then c = p + (-v)*t only
+# for outgoing speeds that no incoming line had, and for each new neighbour
+# pair (c_right - c_left) * 1/(v_left - v_right); the negated speeds and the
+# reciprocals are stored per runner.  Each formula is one call of a fused
+# kernel (`affine`, `scaled_difference`), which gives the integers of the
+# operator chain without building its middle scalar.
 # An outgoing signal of an incoming line's speed keeps that line's c exactly:
 # it leaves the same point at the same speed, so it is on that line.
 
@@ -283,6 +286,7 @@ class _Runner:
         rank = {ms: speeds.index(machine.speed_of(ms)) for ms in machine.signals}
         sets = [*machine.rules.values(), *(sigs for _, sigs in sites)]
         self.entries = {sigs: sorted((rank[m], m.index, m) for m in sigs) for sigs in sets}
+        self.negated = [-v for v in speeds]
         # closing[i][j] = 1/(speeds[i] - speeds[j]) for j < i
         self.closing = [[1 / (v - w) for w in speeds[:i]] for i, v in enumerate(speeds)]
         self.time = time
@@ -301,10 +305,10 @@ class _Runner:
         """One new segment per signal at (p, now), slowest first, and their
         ids.  A signal whose speed rank is a key of `carried` takes its
         intercept."""
-        speeds, time, segments = self.speeds, self.time, self.segments
+        speeds, negated, time, segments = self.speeds, self.negated, self.time, self.segments
         first = len(segments)
         for r, _, ms in self.entries[sigs]:
-            c = carried[r] if r in carried else p - speeds[r] * time
+            c = carried[r] if r in carried else affine(p, negated[r], time)
             segments.append(Segment(ms, speeds[r], r, c, p, time, ev))
         return range(first, len(segments))
 
@@ -316,8 +320,8 @@ class _Runner:
             a, b = order[i], order[i + 1]
             left, right = segments[a], segments[b]
             if left.rank > right.rank:
-                t = (right.intercept - left.intercept) * closing[left.rank][right.rank]
-                heapq.heappush(heap, (t, a, b))
+                k = closing[left.rank][right.rank]
+                heapq.heappush(heap, (scaled_difference(right.intercept, left.intercept, k), a, b))
 
     def next_time(self) -> Optional[Scalar]:
         """Earliest meeting time ahead, None when nothing will ever meet."""

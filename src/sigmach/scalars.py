@@ -5,7 +5,9 @@ a value ``(p + q*sqrt(d))/n`` held as integers in lowest terms with a fixed
 square-free ``d`` shared per :class:`FieldContext`.  All operations are
 exact: each operator is one integer formula reduced by one gcd, equality
 compares the reduced integers, ordering is decided by integer sign tests,
-and no floating point is ever consulted.
+and no floating point is ever consulted.  Two fused kernels, `affine` and
+`scaled_difference`, each compute a chain of two operators with one final
+reduction and give the chain's very integers.
 """
 
 from __future__ import annotations
@@ -367,6 +369,64 @@ def _join(x: Scalar, y: ScalarLike) -> tuple[int, int, int, int] | None:
     if isinstance(y, numbers.Rational):
         return y.numerator, 0, y.denominator, x.d
     return None
+
+
+def _field(d: int, q: int, e: int, other_q: int) -> int:
+    """`_join`'s rule on bare parts: the d of a result combining a value of
+    field d and irrational part q with one of field e and irrational part
+    other_q."""
+    if e == d or not other_q:
+        return d
+    if not q:
+        return e
+    raise FieldError(f"cannot mix sqrt({d}) with sqrt({e})")
+
+
+# -- fused kernels -------------------------------------------------------------
+#
+# The scheduler's line formulas, each the integer steps of two operators run
+# inline: the cancellations of `_product` and `_sum`, and one `_scalar` at
+# the end.  A result has the very integers (p, q, n, d) of the operator chain
+# it replaces; only the throwaway middle Scalar and the dispatch are gone.
+
+
+def affine(c: Scalar, v: Scalar, t: Scalar) -> Scalar:
+    """c + v*t, exactly as that chain of operators computes it."""
+    p, q, n = t.p, t.q, t.n
+    d = _field(v.d, v.q, t.d, q)
+    # v*t, as _product
+    g, h = math.gcd(v.n, p, q), math.gcd(n, v.p, v.q)
+    vp, vq, vn = v.p // h, v.q // h, v.n // g
+    p, q, n = p // g, q // g, n // h
+    both = vq and q  # two irrationals may leave a common factor
+    p, q, n = vp * p + vq * q * d, vp * q + vq * p, vn * n
+    if both:
+        g = math.gcd(n, p, q)
+        if g != 1:
+            p, q, n = p // g, q // g, n // g
+    # c + v*t, as _sum
+    d = _field(c.d, c.q, d, q)
+    g = math.gcd(c.n, n)
+    a, b = c.n // g, n // g
+    return _scalar(c.p * b + p * a, c.q * b + q * a, a * n, d, g)
+
+
+def scaled_difference(x: Scalar, y: Scalar, k: Scalar) -> Scalar:
+    """(x - y)*k, exactly as that chain of operators computes it."""
+    d = _field(x.d, x.q, y.d, y.q)
+    # x - y, as _sum
+    g = math.gcd(x.n, y.n)
+    a, b = x.n // g, y.n // g
+    p, q, n = x.p * b - y.p * a, x.q * b - y.q * a, a * y.n
+    g = math.gcd(g, p, q)
+    if g != 1:
+        p, q, n = p // g, q // g, n // g
+    # (x - y)*k, as _product
+    kp, kq, kn = k.p, k.q, k.n
+    d = _field(d, q, k.d, kq)
+    g, h = math.gcd(n, kp, kq), math.gcd(kn, p, q)
+    p, q, n, kp, kq, kn = p // h, q // h, n // g, kp // g, kq // g, kn // h
+    return _scalar(p * kp + q * kq * d, p * kq + q * kp, n * kn, d, n * kn if q and kq else 1)
 
 
 def as_scalar(value: ScalarLike, ctx: FieldContext) -> Scalar:

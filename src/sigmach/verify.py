@@ -93,7 +93,8 @@ def brute_force_run(
 ) -> tuple[list[Event], str]:
     """Whole-run oracle: repeat `brute_force_next_collision`, apply the rule
     at every meeting point, and stop on the limits and halts `run` uses.
-    Returns the events and the halt reason."""
+    Returns the events and the halt reason.  It computes with plain Scalar
+    operators, never the fused kernels that `run` calls, so it checks them."""
     sp = machine.speed_of
     state = RunState(machine.ctx.zero(), config.sites)
     events: list[Event] = []

@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmach.engine import RunLimits, run
@@ -19,6 +19,7 @@ from sigmach.scalars import (
     FieldError,
     IncommensurateError,
     ScalarSyntaxError,
+    affine,
     as_scalar,
     euclid_trace,
     floor_div_mod,
@@ -26,6 +27,7 @@ from sigmach.scalars import (
     is_commensurate,
     parse_scalar,
     rational_gcd,
+    scaled_difference,
     square_free_split,
 )
 from sigmach.textio import event_log_lines
@@ -612,3 +614,59 @@ _MODULUS = sys.hash_info.modulus
 def test_rational_hash_is_the_fraction_hash(f):
     for ctx in (Q, Q5):
         assert hash(ctx.scalar(f)) == hash(f)
+
+
+# -- the fused kernels against the operator chains they replace ---------------
+
+KERNEL_FIELDS = [FieldContext(d) for d in (0, 2, 3, 5)]
+
+
+def _field_scalars(ctx):
+    """Scalars of ctx: zero, small integers (as speeds are), rationals and,
+    beyond Q, irrationals, each up to about 3000 bits as sm4 reaches."""
+    drawn = [st.just(ctx.zero()), st.builds(ctx.scalar, st.integers(-5, 5)),
+             st.builds(ctx.scalar, any_rationals)]
+    if ctx.d:
+        drawn.append(st.builds(ctx.scalar, any_rationals, any_rationals.filter(bool)))
+    return st.one_of(drawn)
+
+
+# three operands of one field, each possibly a rational of Q, or of any fields
+kernel_operands = st.one_of(
+    st.sampled_from(KERNEL_FIELDS).flatmap(
+        lambda ctx: st.tuples(*[st.one_of(_field_scalars(ctx), q_scalars)] * 3)),
+    st.tuples(*[st.one_of([_field_scalars(ctx) for ctx in KERNEL_FIELDS])] * 3),
+)
+
+
+def _outcome(compute):
+    """The integers (p, q, n, d) of compute(), checked to be in lowest
+    terms, or the message of the FieldError it raises."""
+    try:
+        x = compute()
+    except FieldError as err:
+        return str(err)
+    _canonical(x)
+    return x.p, x.q, x.n, x.d
+
+
+@given(kernel_operands)
+@example((Q5.zero(), PHI, PHI))  # phi^2 = 2*(3 + sqrt(5))/4: the product reduces
+@example((Q.scalar(Fraction(1, 2)), Q.scalar(Fraction(-1, 2)), Q.one()))  # so does 1/2 + 1/2
+@settings(max_examples=300)
+def test_kernels_give_the_integers_of_the_operator_chains(operands):
+    x, y, z = operands
+    assert _outcome(lambda: affine(x, y, z)) == _outcome(lambda: x + y * z)
+    assert _outcome(lambda: affine(x, -y, z)) == _outcome(lambda: x - y * z)
+    assert _outcome(lambda: scaled_difference(x, y, z)) == _outcome(lambda: (x - y) * z)
+
+
+def test_kernels_refuse_two_irrational_fields():
+    root2, one_root3, one = FieldContext(2).scalar(0, 1), FieldContext(3).scalar(1, 1), Q.one()
+    # the irrational pair meets in the product, or in the sum or difference
+    for x, y, z in [(one, root2, one_root3), (root2, one, one_root3), (root2, one_root3, one)]:
+        with pytest.raises(FieldError):
+            affine(x, y, z)
+        with pytest.raises(FieldError):
+            scaled_difference(z, y, x)
+    assert affine(root2, one_root3 - 1, Q.zero()) == root2
