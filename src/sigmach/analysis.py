@@ -69,6 +69,8 @@ class PeriodicityCertificate:
 
 # -- contraction ----------------------------------------------------------------
 
+SEARCH_BUDGET = 200_000  # pairs of states a contraction search tests by default
+
 
 class ContractionSearch:
     """Incremental search for an exact contracting self-similarity between
@@ -84,7 +86,7 @@ class ContractionSearch:
     inconclusive, never a proof of non-accumulation.
     """
 
-    def __init__(self, search_budget: int = 200_000) -> None:
+    def __init__(self, search_budget: int = SEARCH_BUDGET) -> None:
         self._found: Optional[ContractionCertificate] = None
         self._left = search_budget  # pairs that may still be tested
         self._read = 0  # states read so far
@@ -115,7 +117,7 @@ class ContractionSearch:
 
 
 def detect_contraction(
-    diagram: SpaceTimeDiagram, search_budget: int = 200_000
+    diagram: SpaceTimeDiagram, search_budget: int = SEARCH_BUDGET
 ) -> Optional[ContractionCertificate]:
     """A `ContractionSearch` over the diagram's post-event snapshots."""
     return ContractionSearch(search_budget).feed(diagram.snapshots)

@@ -184,7 +184,7 @@ def _build_parser() -> _Parser:
     src.add_argument("--file", help="machine-definition file")
     runp.add_argument("--a", help="first operand for arithmetic presets")
     runp.add_argument("--b", help="second operand for arithmetic presets")
-    runp.add_argument("--max-events", type=int, default=10_000)
+    runp.add_argument("--max-events", type=int, default=RunLimits.max_events)
     runp.add_argument("--max-time", default=None, help="exact scalar time bound")
     runp.add_argument("--detect-accumulation", action="store_true")
     runp.add_argument("--svg", metavar="PATH", help="write an SVG rendering")

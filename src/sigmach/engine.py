@@ -260,10 +260,13 @@ class _Snapshots:
         return self._records[i][1]
 
     def at(self, t: Scalar) -> RunState:
-        """The state at time t >= 0, up to the next step after it: the
-        recorded state at a step's own time, else the last step's lines
-        moved to t, where none is still at its birth point."""
+        """The state at time t, from the run's start up to the next step
+        after it: the recorded state at a step's own time, else the last
+        step's lines moved to t, where none is still at its birth point.
+        Raises ValueError for a t before the first record."""
         i = bisect.bisect_right(self._records, t, key=lambda r: r[0]) - 1
+        if i < 0:
+            raise ValueError(f"no recorded state at or before t={t}")
         time, count, ids = self._records[i]
         if time == t:
             return self[i]

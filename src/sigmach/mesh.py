@@ -75,6 +75,13 @@ class StripSpec:
         """w/p, the back-and-forth time over one subdivision."""
         return self.w / self.p
 
+    @property
+    def horizon(self) -> Scalar:
+        """Transient + 3 periods: the least horizon H at which the gate of
+        `detect_periodicity`, 3P <= H - T, admits this strip's own transient
+        T and period P."""
+        return self.transient_time + 3 * self.period_candidate
+
     @classmethod
     def make(cls, p: int, q: int, x0, w, ctx: FieldContext | None = None) -> "StripSpec":
         ctx = ctx or FieldContext(0)
@@ -133,10 +140,8 @@ def mesh_configuration(spec: MeshSpec, machine: SignalMachine) -> InitialConfigu
 def central_collision(spec: StripSpec) -> tuple[Scalar, Scalar]:
     """First meeting of the two extremal moving signals: lands exactly on a
     subdivision point, at x = x0 + w*p/(p+q), t = w*q/(p+q)."""
-    n = spec.subdivisions
-    x = spec.x0 + spec.w * Fraction(spec.p, n)
-    t = spec.w * Fraction(spec.q, n)
-    return x, t
+    x = spec.x0 + spec.w * Fraction(spec.p, spec.subdivisions)
+    return x, spec.transient_time
 
 
 def embed_in_mesh(config: InitialConfiguration, p: int, q: int) -> MeshSpec:
@@ -205,7 +210,7 @@ def verify_mesh_inclusion(
 
     spec = embed_in_mesh(supp_config, p, q)
     if horizon is None:
-        horizon = spec.strip.transient_time + 3 * spec.strip.period_candidate
+        horizon = spec.strip.horizon
 
     limits = RunLimits(max_events=100_000, max_time=horizon)
     supp_run = run(smnu, supp_config, limits)

@@ -68,29 +68,21 @@ def _rule_fault(speed: Mapping, ins: Sequence, outs: Sequence) -> str | None:
     return None
 
 
+@dataclass(frozen=True, eq=False)
 class SignalMachine:
-    """Immutable triple (meta-signals, speed map, collision rules)."""
+    """Immutable triple (meta-signals, speed map, collision rules); compares
+    and hashes by identity."""
 
-    __slots__ = ("ctx", "signals", "speed", "rules", "_by_name")
+    ctx: FieldContext
+    signals: Sequence[MetaSignal]
+    speed: Mapping[MetaSignal, Scalar]
+    rules: Mapping[RuleKey, frozenset[MetaSignal]]
 
-    def __init__(
-        self,
-        ctx: FieldContext,
-        signals: Sequence[MetaSignal],
-        speed: Mapping[MetaSignal, Scalar],
-        rules: Mapping[RuleKey, frozenset[MetaSignal]],
-    ) -> None:
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "signals", tuple(signals))
-        object.__setattr__(self, "speed", dict(speed))
-        object.__setattr__(self, "rules", dict(rules))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "signals", tuple(self.signals))
+        object.__setattr__(self, "speed", dict(self.speed))
+        object.__setattr__(self, "rules", dict(self.rules))
         object.__setattr__(self, "_by_name", {s.name: s for s in self.signals})
-
-    def __setattr__(self, *_):
-        raise AttributeError("SignalMachine is immutable")
-
-    def __reduce__(self):
-        return SignalMachine, (self.ctx, self.signals, self.speed, self.rules)
 
     @classmethod
     def build(
@@ -148,19 +140,14 @@ class SignalMachine:
 Site = tuple[Scalar, frozenset[MetaSignal]]
 
 
+@dataclass(frozen=True)
 class InitialConfiguration:
     """Finite sorted set of sites; co-located signals must have distinct speeds."""
 
-    __slots__ = ("sites",)
+    sites: Sequence[Site]
 
-    def __init__(self, sites: Sequence[Site]) -> None:
-        object.__setattr__(self, "sites", tuple(sites))
-
-    def __setattr__(self, *_):
-        raise AttributeError("InitialConfiguration is immutable")
-
-    def __reduce__(self):
-        return InitialConfiguration, (self.sites,)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sites", tuple(self.sites))
 
     @classmethod
     def build(
@@ -190,15 +177,6 @@ class InitialConfiguration:
 
     def __len__(self) -> int:
         return len(self.sites)
-
-    def __iter__(self):
-        return iter(self.sites)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InitialConfiguration) and self.sites == other.sites
-
-    def __hash__(self) -> int:
-        return hash(self.sites)
 
     def __repr__(self) -> str:
         parts = ",".join(

@@ -284,7 +284,7 @@ def geometric_result(
     kind: str,
     a: ScalarLike,
     b: ScalarLike,
-    max_events: int = 10_000,
+    max_events: int = RunLimits.max_events,
     ctx: FieldContext | None = None,
 ) -> Scalar:
     """Build, run, and read one arithmetic machine: kind is "sub", "mod" or

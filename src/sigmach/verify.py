@@ -483,8 +483,7 @@ def suite_mesh(
         supp_free = detect_contraction(report.support_diagram) is None
         if report.ok and supp_free:
             return ""
-        strip = report.spec.strip
-        bound = strip.transient_time + 3 * strip.period_candidate
+        bound = report.spec.strip.horizon
         others = (report.included, report.events_inside, supp_free)
         if report.periodicity is None and all(others) and horizon is not None and horizon < bound:
             return (

@@ -140,6 +140,8 @@ class TestContraction:
         assert not contraction_replay_matches(diagram, squared)
         off_center = replace(cert, center_x=Q.one(), ratio=Q.scalar(Fraction(1, 2)))
         assert not contraction_replay_matches(diagram, off_center)
+        no_events = replace(cert, t2=cert.t1, ratio=Q.one())  # t1's sites, nothing replayed
+        assert not contraction_replay_matches(diagram, no_events)
 
     def test_sm4_geometric_partial_sums(self, sm4_diagram):
         cert = detect_contraction(sm4_diagram)

@@ -454,6 +454,12 @@ class TestSnapshots:
             mid = (state.time + later.time) / 2
             assert configuration_at(diagram, mid) == drifted(machine, state, mid)
 
+    def test_at_refuses_a_time_before_the_first_record(self):
+        snapshots = run(*build_sm4(), RunLimits(max_events=6)).snapshots
+        assert snapshots.at(Q.zero()) == snapshots[0]
+        with pytest.raises(ValueError, match="no recorded state"):
+            snapshots.at(Q.scalar(-1))
+
     def test_a_run_leaves_no_reference_cycles(self):
         systems = [(*build_sm4(), RunLimits(max_events=200)), (*build_gcd(100, 3), RunLimits())]
         gc.collect()

@@ -75,6 +75,7 @@ class TestValidate:
             ),
             ([("a", 1), ("b", 1)], [(("a", "b"), ())], "input speeds not distinct"),
             ([("a", 1), ("b", 0)], [(("a",), ("b",))], "rule needs at least two incoming signals"),
+            ([("a", 1), ("b c", 0)], [], "bad meta-signal name 'b c'"),
         ],
     )
     def test_build_rejects_what_validate_rejects(self, speeds, rules, message):
@@ -159,6 +160,32 @@ class TestConfiguration:
         assert (err.value.reason, err.value.entry) == ("unknown meta-signal 'ghost'", ("init", 3))
 
 
+class TestValues:
+    """Machines and configurations are frozen dataclasses: a machine
+    compares and hashes by identity, a configuration by its sites."""
+
+    @pytest.mark.parametrize(
+        "part, attr",
+        [(0, "ctx"), (0, "signals"), (0, "speed"), (0, "rules"), (0, "_by_name"), (0, "extra"),
+         (1, "sites"), (1, "extra")],
+    )
+    def test_no_attribute_can_be_assigned_or_deleted(self, part, attr):
+        value = build_sm4()[part]
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+
+    def test_equality_hashing_and_repr(self):
+        (m1, c1), (m2, c2) = build_sm4(), build_sm4()
+        assert m1 == m1 and m1 != m2 and len({m1, m2, m1}) == 2
+        assert c1 == c2 and hash(c1) == hash(c2) and len({c1, c2}) == 1
+        assert c1 != InitialConfiguration(c1.sites[:1]) and c1 != c1.sites
+        assert InitialConfiguration(list(c1.sites)).sites == c1.sites
+        assert repr(m1) == "SignalMachine(4 signals, 4 speeds, 2 rules)"
+        assert repr(c1) == "InitialConfiguration([left+zig]@-1,[right]@1)"
+
+
 class TestClassify:
     def test_gcd_8_3(self):
         machine, config = build_gcd(8, 3)
@@ -232,6 +259,11 @@ class TestGenerators:
 
 
 class TestAffine:
+    @pytest.mark.parametrize("ratio", [0, -1, Fraction(-1, 2)])
+    def test_ratio_must_be_strictly_positive(self, ratio):
+        with pytest.raises(MachineError, match="strictly positive"):
+            AffineMap(Q.scalar(ratio), Q.zero())
+
     def test_two_point_normalization(self):
         machine = SignalMachine.build([("x", -3), ("y", 5)])
         a, b = machine.distinct_speeds()

@@ -56,8 +56,14 @@ class TestBuilders:
     def test_sm2_counts(self):
         _, config = build_sm2_support(2, 3)
         assert sum(len(s) for _, s in config.sites) == 5
-        with pytest.raises(ValueError):
-            build_sm2_support(2, 3, [("R", 0), ("S", 1)])
+        for args, reason in [
+            ((2, 3, [("R", 0), ("S", 1)]), "i moving"),
+            ((2, 3, [("R", 0), ("R", 1), ("S", 2)]), "j stationary"),
+            ((-1, 3), "non-negative"),
+            ((2, -1), "non-negative"),
+        ]:
+            with pytest.raises(ValueError, match=reason):
+                build_sm2_support(*args)
 
 
 class TestArithmeticResults:

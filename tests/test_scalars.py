@@ -3,6 +3,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -82,6 +83,8 @@ class TestArithmetic:
         x = FieldContext(2).scalar(0, 1)
         with pytest.raises(FieldError):
             x + PHI
+        with pytest.raises(FieldError, match=re.escape("from sqrt(5) used in Q(sqrt(2))")):
+            as_scalar(PHI, FieldContext(2))
 
     def test_rational_coerces_across_fields(self):
         assert Q.scalar(2) + PHI == Q5.scalar(Fraction(5, 2), Fraction(1, 2))
@@ -239,6 +242,11 @@ class TestRationalGcd:
     def test_incommensurate_rejected(self):
         with pytest.raises(IncommensurateError):
             rational_gcd(PHI, Q5.one())
+
+    @pytest.mark.parametrize("x, y", [(0, 1), (1, 0), (-2, 4), (3, Fraction(-1, 2))])
+    def test_non_positive_inputs_rejected(self, x, y):
+        with pytest.raises(ValueError, match="strictly positive"):
+            rational_gcd(Q.scalar(x), Q.scalar(y))
 
     def test_quotients_are_coprime_integers(self):
         rng = random.Random(7)
