@@ -347,6 +347,9 @@ class _Runner:
             _, a, b = heapq.heappop(heap)
             if segments[a].death_event is None and segments[b].death_event is None:
                 lefts.append(order.index(a))
+        if len(lefts) == 1:  # the common case: one pair, one group
+            i = lefts[0]
+            return [(i, i + 2, segments[order[i]].position_at(t))]
         spans: list[list[int]] = []
         for i in sorted(lefts):
             if spans and spans[-1][1] == i + 1:
@@ -358,18 +361,21 @@ class _Runner:
     def step(self, t: Scalar) -> None:
         """Fire every collision at t = next_time().  Raises MissingRuleError
         before any line, segment or event changes."""
-        order, segments = self.order, self.segments
+        order, segments, rules = self.order, self.segments, self.machine.rules
         fired = []
         for start, end, p in self.pop_groups(t):
-            incoming = frozenset(segments[i].signal for i in order[start:end])
-            outgoing = self.machine.rule_for(incoming)
+            incoming = frozenset([segments[i].signal for i in order[start:end]])
+            outgoing = rules.get(incoming)
             if outgoing is None:
                 raise MissingRuleError(p, t, incoming)
             fired.append((start, end, p, incoming, outgoing))
         self.time = t
         # one pass, left to right: each group's lines die and its outgoing ones
-        # take its place, moved by `shift`; both new edges may start a pair
-        lefts, shift = [], 0
+        # take its place, moved by `shift`; both new edges may start a pair.
+        # Edge indices never decrease, so a repeat is the last one kept, and
+        # only the last can be the right end, which has no pair
+        lefts: list[int] = []
+        shift = 0
         for start, end, p, incoming, outgoing in fired:
             start, end, idx = start + shift, end + shift, self.event_count
             self.events.append(Event(idx, t, p, incoming, outgoing))
@@ -382,8 +388,13 @@ class _Runner:
             ids = self.open_site(p, outgoing, idx, carried)
             order[start:end] = ids
             shift += len(ids) - (end - start)
-            lefts += (start - 1, start + len(ids) - 1)
-        self.push_pairs(i for i in dict.fromkeys(lefts) if 0 <= i < len(order) - 1)
+            if start and (not lefts or lefts[-1] < start - 1):
+                lefts.append(start - 1)
+            if ids:
+                lefts.append(start + len(ids) - 1)
+        if lefts and lefts[-1] == len(order) - 1:
+            lefts.pop()
+        self.push_pairs(lefts)
 
     def record(self) -> _Record:
         return self.time, self.event_count, tuple(self.order)

@@ -42,10 +42,19 @@ from .scalars import (
 LEFT, STILL, RIGHT = "L", "S", "R"
 
 
+def _whole(name: str, x) -> int:
+    """x as an int, for an int or an integral Fraction; anything else, a
+    float above all, is refused rather than truncated."""
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+        return int(x)
+    raise ValueError(f"{name} must be an integer, not {x!r}")
+
+
 @dataclass(frozen=True)
 class StripSpec:
     """Strip of width w starting at x0 for the support machine of speed p/q;
-    p and q are reduced to lowest terms on construction."""
+    p and q, ints or integral Fractions, are reduced to lowest terms on
+    construction."""
 
     p: int
     q: int
@@ -53,7 +62,7 @@ class StripSpec:
     w: Scalar
 
     def __post_init__(self) -> None:
-        p, q = int(self.p), int(self.q)
+        p, q = _whole("p", self.p), _whole("q", self.q)
         if p <= 0 or q <= 0:
             raise ValueError("p and q must be positive")
         g = math.gcd(p, q)
@@ -107,7 +116,7 @@ def support_machine_nu(p: int, q: int, ctx: FieldContext | None = None) -> Signa
     """The 3-signal support machine with speeds -1, 0 and p/q: every eligible
     collision re-emits all three signals."""
     ctx = ctx or FieldContext(0)
-    nu = Fraction(int(p), int(q))
+    nu = Fraction(_whole("p", p), _whole("q", q))
     return support_machine(
         SignalMachine.build([(LEFT, -1), (STILL, 0), (RIGHT, nu)], ctx=ctx)
     )[0]

@@ -190,14 +190,19 @@ class Scalar:
     """Immutable exact value (p + q*sqrt(d))/n, built through a
     :class:`FieldContext`; totally ordered and hashable.  The integers are in
     lowest terms (n > 0, gcd(p, q, n) = 1, q = 0 when d = 0); ``a`` = p/n and
-    ``b`` = q/n are the parts as Fractions.  Pure rationals coerce silently
+    ``b`` = q/n are the parts as Fractions.  The hash, that of the equal
+    ``Fraction`` for a rational and of ``(a, b, d)`` otherwise, is computed
+    on first use and kept.  Pure rationals coerce silently
     into any extension, so a rational time can offset a Q(sqrt(5)) position;
     irrational scalars from different extensions refuse to mix."""
 
-    __slots__ = ("p", "q", "n", "d")
+    # p, q, n, d, and the hash, computed on first use
+    __slots__ = ("p", "q", "n", "d", "_hash")
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, past the guard
@@ -264,15 +269,31 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d)) if self.q else _rational_hash(self.p, self.n)
+        h = self._hash
+        if h is None:
+            h = hash((self.a, self.b, self.d)) if self.q else _rational_hash(self.p, self.n)
+            _SET_HASH(self, h)
+        return h
 
     def _cmp(self, other: ScalarLike) -> int:
-        """Sign of self - other, computed on integers without building it."""
-        o = _join(self, other)
-        if o is None:
-            return NotImplemented
-        p, q, n, d = o
-        return _sign(self.p * n - p * self.n, self.q * n - q * self.n, d)
+        """Sign of self - other, computed on integers without building it.
+        Another scalar is joined inline, by `_join`'s field rule."""
+        if other is self:
+            return 0
+        if type(other) is Scalar:
+            p, q, n = other.p, other.q, other.n
+            d = self.d
+            if other.d != d and q:
+                if self.q:
+                    raise FieldError(f"cannot mix sqrt({d}) with sqrt({other.d})")
+                d = other.d
+        else:
+            o = _join(self, other)
+            if o is None:
+                return NotImplemented
+            p, q, n, d = o
+        p, q = self.p * n - p * self.n, self.q * n - q * self.n
+        return _sign(p, q, d) if q else (p > 0) - (p < 0)
 
     def __lt__(self, other: ScalarLike) -> bool:
         c = self._cmp(other)
@@ -318,8 +339,11 @@ class Scalar:
         return f"Scalar({format_scalar(self)})"
 
 
-# The slot setters: _scalar writes through them, past the immutability guard.
-_SET_P, _SET_Q, _SET_N, _SET_D = (getattr(Scalar, k).__set__ for k in Scalar.__slots__)
+# The slot setters: _scalar and __hash__ write through them, past the
+# immutability guard.
+_SET_P, _SET_Q, _SET_N, _SET_D, _SET_HASH = (
+    getattr(Scalar, k).__set__ for k in Scalar.__slots__
+)
 _NEW = object.__new__
 
 
@@ -337,6 +361,7 @@ def _scalar(p: int, q: int, n: int, d: int, m: int | None = None) -> Scalar:
     _SET_Q(s, q)
     _SET_N(s, n)
     _SET_D(s, d)
+    _SET_HASH(s, None)
     return s
 
 

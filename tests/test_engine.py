@@ -1,5 +1,6 @@
 import copy
 import gc
+import operator
 import pickle
 import random
 import sys
@@ -369,6 +370,34 @@ class TestSchedulerOracle:
         for system, events in zip(systems, want):
             assert brute_force_run(*system)[0] == events
 
+    @pytest.mark.parametrize("signals, rules, placements, n_events", [
+        # two collisions at t = 1 side by side in `order`; the new lines at
+        # their shared edge meet at t = 5/2, so that pair is queued once
+        (
+            [("r1", 1), ("l1", -1), ("r2", 1), ("l2", -1)],
+            [(("r1", "l1"), ("r1",)), (("r2", "l2"), ("l2",)), (("r1", "l2"), ())],
+            [("r1", 0), ("l1", 2), ("r2", 3), ("l2", 5)],
+            3,
+        ),
+        # annihilations at t = 1 at both ends of `order`; the lines left
+        # between them never meet, and the last is faster than the first
+        (
+            [("a", 1), ("b", -1), ("s", 0)],
+            [(("a", "b"), ())],
+            [("a", 0), ("b", 2), ("s", 4), ("a", 6), ("a", 10), ("b", 12)],
+            2,
+        ),
+    ], ids=["adjacent-groups", "both-ends-annihilate"])
+    def test_one_step_at_the_edges_of_order_matches_brute_force(
+        self, signals, rules, placements, n_events
+    ):
+        machine = SignalMachine.build(signals, rules)
+        config = InitialConfiguration.build(machine, placements)
+        diagram = run(machine, config)
+        assert diagram.halt_reason == QUIESCENT
+        assert len(diagram.events) == n_events
+        assert brute_force_run(machine, config, RunLimits()) == (diagram.events, QUIESCENT)
+
 
 def drifted(machine, state, t):
     """The state moved to t, strictly before its next collision: every signal
@@ -499,6 +528,24 @@ def scalar_ops_per_event(monkeypatch, machine, config, limits=None):
             patch.setattr(engine, name, counted(getattr(engine, name)))
         diagram = run(machine, config, limits)
     return count[0] / len(diagram.events)
+
+
+def test_each_order_operator_calls_cmp_once(monkeypatch):
+    """The op counters patch `Scalar._cmp` by name, so each of < <= > >=
+    must look it up and call it exactly once."""
+    calls = []
+    real = Scalar._cmp
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Scalar, "_cmp", counted)
+    x, y = Q.scalar(1), Q.scalar(2)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        calls.clear()
+        compare(x, y)
+        assert calls == [y]
 
 
 def test_scalar_ops_per_event_do_not_grow_with_live_signals(monkeypatch):

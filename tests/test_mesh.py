@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ import oracles  # noqa: E402
 import sigmach.analysis as analysis  # noqa: E402
 import sigmach.engine as engine  # noqa: E402
 import sigmach.mesh as mesh  # noqa: E402
+import sigmach.scalars as scalars  # noqa: E402
 from sigmach.analysis import detect_contraction, diagram_included  # noqa: E402
 from sigmach.engine import RunLimits, run  # noqa: E402
 from sigmach.mesh import (  # noqa: E402
@@ -40,6 +42,18 @@ class TestSpecs:
         spec = StripSpec.make(4, 6, 0, 1)
         assert (spec.p, spec.q) == (2, 3)
         assert spec.subdivisions == 5
+        # integral Fractions are integers
+        assert StripSpec.make(Fraction(4), Fraction(6), 0, 1) == spec
+        want = support_machine_nu(2, 3).distinct_speeds()
+        assert support_machine_nu(Fraction(2), 3).distinct_speeds() == want
+
+    @pytest.mark.parametrize("p, q, bad", [
+        (2.7, 1, "2.7"), (Fraction(5, 2), 1, "Fraction(5, 2)"), (2, 3.0, "3.0"), (2, "3", "'3'"),
+    ])
+    def test_p_and_q_must_be_integers(self, p, q, bad):
+        for make in (lambda: StripSpec.make(p, q, 0, 1), lambda: support_machine_nu(p, q)):
+            with pytest.raises(ValueError, match=f"must be an integer, not {re.escape(bad)}$"):
+                make()
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -184,6 +198,19 @@ class TestMeshVerification:
         assert report.periodicity is not None
         assert detect_contraction(report.mesh_diagram) is None
         assert report.ok
+
+    def test_each_scalar_is_hashed_at_most_once(self, monkeypatch):
+        hashed = []  # the scalars whose hash was computed, kept alive
+        real = scalars._rational_hash
+
+        def counted(p, n):
+            hashed.append(sys._getframe(1).f_locals["self"])
+            return real(p, n)
+
+        monkeypatch.setattr(scalars, "_rational_hash", counted)
+        assert verify_mesh_inclusion(*build_gcd(8, 3)).ok
+        assert len(hashed) > 100
+        assert len({id(s) for s in hashed}) == len(hashed)
 
     def test_gcd_phi_reports_embedding_error(self):
         machine, _ = build_gcd(phi(), 1, ctx=PHI_CONTEXT)

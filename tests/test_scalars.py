@@ -143,6 +143,16 @@ class TestCopyAndPickle:
             with pytest.raises(AttributeError):
                 back.p = 0
 
+    def test_no_slot_can_be_assigned_or_deleted(self):
+        for s in self.VALUES:
+            want = hash(s)
+            for name in ("p", "q", "n", "d", "_hash"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(s, name, 0)
+                with pytest.raises(AttributeError, match="immutable"):
+                    delattr(s, name)
+            assert hash(s) == want
+
     def test_a_deep_copied_diagram_keeps_its_event_log(self):
         diagram = run(*build_gcd_phi(), RunLimits(max_events=300))
         assert event_log_lines(copy.deepcopy(diagram)) == event_log_lines(diagram)
@@ -487,18 +497,29 @@ def test_field_operations_match_formulas(pair):
     _same(-x, -x.a, -x.b, x.d)
 
 
+def _parts(y) -> tuple[Fraction, Fraction, int]:
+    """(a, b, d) of a scalar, or of an int or Fraction as a rational."""
+    return (Fraction(y), Fraction(0), 0) if isinstance(y, (int, Fraction)) else (y.a, y.b, y.d)
+
+
 @given(st.one_of(st.tuples(q_scalars, q_scalars), st.tuples(q5_rational_scalars, q_scalars),
                  st.tuples(q5_irrational_scalars, q5_irrational_scalars),
-                 st.tuples(mixed_scalars, mixed_scalars)))
-@settings(max_examples=200)
+                 st.tuples(mixed_scalars, mixed_scalars),
+                 mixed_scalars.map(lambda x: (x, x)),  # one object on both sides
+                 st.tuples(mixed_scalars, st.integers(-50, 50)),
+                 st.tuples(mixed_scalars, any_rationals)))
+@settings(max_examples=300)
 def test_order_equality_and_hash_match_formulas(pair):
     x, y = pair
-    d = max(x.d, y.d)
-    s = _ref_sign(x.a - y.a, x.b - y.b, d)
+    ya, yb, yd = _parts(y)
+    s = _ref_sign(x.a - ya, x.b - yb, max(x.d, yd))
     assert ((x < y), (x <= y), (x > y), (x >= y)) == (s < 0, s <= 0, s > 0, s >= 0)
-    assert (x == y) == (s == 0) == (x.a == y.a and x.b == y.b)
+    assert (x == y) == (s == 0) == (x.a == ya and x.b == yb)
     assert x.sign() == _ref_sign(x.a, x.b, x.d)
-    assert hash(x) == (hash(x.a) if x.b == 0 else hash((x.a, x.b, x.d)))
+    want = hash(x.a) if x.b == 0 else hash((x.a, x.b, x.d))
+    assert hash(x) == want and hash(x) == want  # computed, then kept
+    for trip in (copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))):
+        assert hash(trip(x)) == want
     if s == 0:
         assert hash(x) == hash(y)
 
