@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -168,7 +169,12 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 # pair (c_right - c_left) * 1/(v_left - v_right); the negated speeds and the
 # reciprocals are stored per runner.  Each formula is one call of a fused
 # kernel (`affine`, `scaled_difference`), which gives the integers of the
-# operator chain without building its middle scalar.
+# operator chain without building its middle scalar.  Each call passes
+# `den_lcm`, the lcm of the denominators of the speeds, the closing
+# reciprocals, the start sites and the start time: every other scalar of
+# the run is built from these by sums and products, which only multiply
+# denominators and divide factors out, so every prime of its denominator
+# divides den_lcm, and a kernel proves a reduction trivial on small gcds.
 # An outgoing signal of an incoming line's speed keeps that line's c exactly:
 # it leaves the same point at the same speed, so it is on that line.
 
@@ -292,6 +298,10 @@ class _Runner:
         self.negated = [-v for v in speeds]
         # closing[i][j] = 1/(speeds[i] - speeds[j]) for j < i
         self.closing = [[1 / (v - w) for w in speeds[:i]] for i, v in enumerate(speeds)]
+        # the primes of every denominator of the run (see above)
+        self.den_lcm = math.lcm(
+            time.n, *(v.n for v in speeds), *(k.n for row in self.closing for k in row),
+            *(p.n for p, _ in sites))
         self.time = time
         self.event_count = event_count
         self.events: list[Event] = []
@@ -309,9 +319,9 @@ class _Runner:
         ids.  A signal whose speed rank is a key of `carried` takes its
         intercept."""
         speeds, negated, time, segments = self.speeds, self.negated, self.time, self.segments
-        first = len(segments)
+        first, den_lcm = len(segments), self.den_lcm
         for r, _, ms in self.entries[sigs]:
-            c = carried[r] if r in carried else affine(p, negated[r], time)
+            c = carried[r] if r in carried else affine(p, negated[r], time, den_lcm)
             segments.append(Segment(ms, speeds[r], r, c, p, time, ev))
         return range(first, len(segments))
 
@@ -319,12 +329,14 @@ class _Runner:
         """Queue the meeting of order[i] and order[i + 1] for each i whose
         left line is the faster."""
         order, segments, closing, heap = self.order, self.segments, self.closing, self.heap
+        den_lcm = self.den_lcm
         for i in lefts:
             a, b = order[i], order[i + 1]
             left, right = segments[a], segments[b]
             if left.rank > right.rank:
                 k = closing[left.rank][right.rank]
-                heapq.heappush(heap, (scaled_difference(right.intercept, left.intercept, k), a, b))
+                t = scaled_difference(right.intercept, left.intercept, k, den_lcm)
+                heapq.heappush(heap, (t, a, b))
 
     def next_time(self) -> Optional[Scalar]:
         """Earliest meeting time ahead, None when nothing will ever meet."""
@@ -340,7 +352,7 @@ class _Runner:
         """Pop every pair meeting at t = next_time() and chain them into
         collision groups: slices [start, end) of `order` with their meeting
         point, left to right."""
-        heap, order, segments = self.heap, self.order, self.segments
+        heap, order, segments, den_lcm = self.heap, self.order, self.segments, self.den_lcm
         # next_time() read t from the top entry and found it live
         lefts = [order.index(heapq.heappop(heap)[1])]
         while heap and heap[0][0] == t:
@@ -349,14 +361,19 @@ class _Runner:
                 lefts.append(order.index(a))
         if len(lefts) == 1:  # the common case: one pair, one group
             i = lefts[0]
-            return [(i, i + 2, segments[order[i]].position_at(t))]
+            seg = segments[order[i]]
+            return [(i, i + 2, affine(seg.intercept, seg.speed, t, den_lcm))]
         spans: list[list[int]] = []
         for i in sorted(lefts):
             if spans and spans[-1][1] == i + 1:
                 spans[-1][1] = i + 2
             else:
                 spans.append([i, i + 2])
-        return [(s, e, segments[order[s]].position_at(t)) for s, e in spans]
+        groups = []
+        for s, e in spans:
+            seg = segments[order[s]]
+            groups.append((s, e, affine(seg.intercept, seg.speed, t, den_lcm)))
+        return groups
 
     def step(self, t: Scalar) -> None:
         """Fire every collision at t = next_time().  Raises MissingRuleError

@@ -7,7 +7,10 @@ exact: each operator is one integer formula reduced by one gcd, equality
 compares the reduced integers, ordering is decided by integer sign tests,
 and no floating point is ever consulted.  Two fused kernels, `affine` and
 `scaled_difference`, each compute a chain of two operators with one final
-reduction and give the chain's very integers.
+reduction and give the chain's very integers.  The scheduler passes them
+`den_lcm`, a number divisible by every prime its denominators can have,
+with which a reduction that would divide by 1 is proved so by a gcd on
+small integers.
 """
 
 from __future__ import annotations
@@ -413,10 +416,23 @@ def _field(d: int, q: int, e: int, other_q: int) -> int:
 # inline: the cancellations of `_product` and `_sum`, and one `_scalar` at
 # the end.  A result has the very integers (p, q, n, d) of the operator chain
 # it replaces; only the throwaway middle Scalar and the dispatch are gone.
+#
+# `den_lcm`, when nonzero, is divisible by every prime of the operands'
+# denominators; the scheduler passes the lcm of its inputs' denominators,
+# since sums and products only multiply denominators and divide factors out.
+# A reduction by gcd(m, p, q), m a product of divisors of those
+# denominators, has its primes among those of gcd(den_lcm, m), which are
+# m's own; so gcd(gcd(den_lcm, m), p, q) == 1 exactly when gcd(m, p, q) == 1.
+# When m is larger than den_lcm a kernel tests that first and skips the
+# reduction if it holds: a sm4 run at depth would otherwise prove a
+# ~3000-bit power of 3 coprime to a ~3000-bit numerator at each event.
+# The test is written inline, where it costs small operands one comparison.
 
 
-def affine(c: Scalar, v: Scalar, t: Scalar) -> Scalar:
-    """c + v*t, exactly as that chain of operators computes it."""
+def affine(c: Scalar, v: Scalar, t: Scalar, den_lcm: int = 0) -> Scalar:
+    """c + v*t, exactly as that chain of operators computes it.  den_lcm,
+    when nonzero, is divisible by every prime of the operands'
+    denominators (see above)."""
     p, q, n = t.p, t.q, t.n
     d = _field(v.d, v.q, t.d, q)
     # v*t, as _product
@@ -425,7 +441,7 @@ def affine(c: Scalar, v: Scalar, t: Scalar) -> Scalar:
     p, q, n = p // g, q // g, n // h
     both = vq and q  # two irrationals may leave a common factor
     p, q, n = vp * p + vq * q * d, vp * q + vq * p, vn * n
-    if both:
+    if both and not (den_lcm and n > den_lcm and math.gcd(math.gcd(den_lcm, n), p, q) == 1):
         g = math.gcd(n, p, q)
         if g != 1:
             p, q, n = p // g, q // g, n // g
@@ -433,25 +449,35 @@ def affine(c: Scalar, v: Scalar, t: Scalar) -> Scalar:
     d = _field(c.d, c.q, d, q)
     g = math.gcd(c.n, n)
     a, b = c.n // g, n // g
-    return _scalar(c.p * b + p * a, c.q * b + q * a, a * n, d, g)
+    p, q = c.p * b + p * a, c.q * b + q * a
+    if den_lcm and g > den_lcm and math.gcd(math.gcd(den_lcm, g), p, q) == 1:
+        g = 1
+    return _scalar(p, q, a * n, d, g)
 
 
-def scaled_difference(x: Scalar, y: Scalar, k: Scalar) -> Scalar:
-    """(x - y)*k, exactly as that chain of operators computes it."""
+def scaled_difference(x: Scalar, y: Scalar, k: Scalar, den_lcm: int = 0) -> Scalar:
+    """(x - y)*k, exactly as that chain of operators computes it.  den_lcm
+    is as for `affine`."""
     d = _field(x.d, x.q, y.d, y.q)
     # x - y, as _sum
     g = math.gcd(x.n, y.n)
     a, b = x.n // g, y.n // g
     p, q, n = x.p * b - y.p * a, x.q * b - y.q * a, a * y.n
-    g = math.gcd(g, p, q)
-    if g != 1:
-        p, q, n = p // g, q // g, n // g
+    if not (den_lcm and g > den_lcm and math.gcd(math.gcd(den_lcm, g), p, q) == 1):
+        g = math.gcd(g, p, q)
+        if g != 1:
+            p, q, n = p // g, q // g, n // g
     # (x - y)*k, as _product
     kp, kq, kn = k.p, k.q, k.n
     d = _field(d, q, k.d, kq)
     g, h = math.gcd(n, kp, kq), math.gcd(kn, p, q)
     p, q, n, kp, kq, kn = p // h, q // h, n // g, kp // g, kq // g, kn // h
-    return _scalar(p * kp + q * kq * d, p * kq + q * kp, n * kn, d, n * kn if q and kq else 1)
+    both = q and kq  # two irrationals may leave a common factor
+    p, q, n = p * kp + q * kq * d, p * kq + q * kp, n * kn
+    m = n if both else 1
+    if den_lcm and m > den_lcm and math.gcd(math.gcd(den_lcm, m), p, q) == 1:
+        m = 1
+    return _scalar(p, q, n, d, m)
 
 
 def as_scalar(value: ScalarLike, ctx: FieldContext) -> Scalar:

@@ -48,16 +48,22 @@ def render_diagram(
         end_time = end_time + 1
     t_end = float(end_time)
 
+    # each event's point, read once: a segment born or killed at an event
+    # starts or ends there (a run numbers its events from 0)
+    events = [(float(e.position), float(e.time)) for e in diagram.events]
     segs = []
     for seg in diagram.segments:
-        t0 = float(seg.birth_time)
-        t1 = float(seg.death_time) if seg.death_time is not None else t_end
-        x0 = float(seg.birth_position)
-        x1 = float(seg.position_at(end_time if seg.death_time is None else seg.death_time))
+        if seg.birth_event is None:
+            x0, t0 = float(seg.birth_position), float(seg.birth_time)
+        else:
+            x0, t0 = events[seg.birth_event]
+        if seg.death_event is None:
+            x1, t1 = float(seg.position_at(end_time)), t_end
+        else:
+            x1, t1 = events[seg.death_event]
         segs.append((seg.signal.name, x0, t0, x1, t1))
         xs += [x0, x1]
         ts += [t0, t1]
-    events = [(float(e.position), float(e.time)) for e in diagram.events]
     for x, t in events:
         xs.append(x)
         ts.append(t)

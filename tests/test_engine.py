@@ -1,5 +1,6 @@
 import copy
 import gc
+import math
 import operator
 import pickle
 import random
@@ -565,3 +566,106 @@ def test_scalar_ops_per_event_stay_within_the_collision_work(monkeypatch, system
     kernel call each, plus the heap's comparisons."""
     per_event = scalar_ops_per_event(monkeypatch, *system(), limits)
     assert per_event <= bound, per_event
+
+
+# -- the run's denominator lcm ------------------------------------------------------
+#
+# The scheduler passes its kernels the lcm of its inputs' denominators, so
+# that a kernel can prove a reduction trivial with a gcd on small integers.
+# Each run below needs, to reduce its results, a prime that only one kind of
+# input carries, so a den_lcm that left that kind out would leave results
+# out of lowest terms.
+
+
+def _lowest_terms(*scalars_):
+    return all(math.gcd(x.p, x.q, x.n) == 1 for x in scalars_)
+
+
+def _diagram_in_lowest_terms(diagram):
+    for e in diagram.events:
+        assert _lowest_terms(e.time, e.position), e
+    for seg in diagram.segments:
+        assert _lowest_terms(seg.intercept, seg.birth_position, seg.birth_time), seg
+        assert seg.death_time is None or _lowest_terms(seg.death_time), seg
+
+
+def test_a_run_reduces_by_the_primes_of_its_closing_reciprocals():
+    """Speeds 8, 1 and -6 are congruent mod 7, and 7 comes only from
+    1/(8 - 1) = 1/(1 + 6) = 1/7.  A fast and a slow signal meet at t = k/7
+    and send back a signal whose intercept x + 6t is an integer: 7 cancels
+    from the sum.  (In sm4 only 3 has to cancel, and always in a product.)"""
+    machine = SignalMachine.build(
+        [("fast", 8), ("slow", 1), ("back", -6)],
+        [(("fast", "slow"), ("slow", "back")), (("slow", "back"), ("slow", "back"))],
+    )
+    config = InitialConfiguration.build(
+        machine, [("fast", 0), ("slow", 1), ("fast", 10), ("slow", 12), ("fast", 30), ("slow", 33)])
+    diagram = run(machine, config)
+    _diagram_in_lowest_terms(diagram)
+    backs = [seg.intercept for seg in diagram.segments if seg.signal.name == "back"]
+    assert backs and all(not c.q and c.n == 1 for c in backs)
+    assert brute_force_run(machine, config, RunLimits()) == (diagram.events, QUIESCENT)
+
+
+def test_a_run_reduces_by_the_primes_of_its_sites():
+    """sm4 scaled by 1/5^20 is sm4 with every coordinate scaled by 1/5^20;
+    5 is in no speed or closing reciprocal."""
+    machine, config = build_sm4()
+    scale = Fraction(1, 5**20)
+    scaled = InitialConfiguration.build(
+        machine, [(ms.name, p * scale) for p, sigs in config.sites for ms in sigs])
+    limits = RunLimits(max_events=300)
+    diagram = run(machine, scaled, limits)
+    _diagram_in_lowest_terms(diagram)
+    want = run(machine, config, limits).events
+    assert [(e.time, e.position, e.incoming) for e in diagram.events] == [
+        (e.time * scale, e.position * scale, e.incoming) for e in want]
+    assert brute_force_run(machine, scaled, RunLimits(max_events=60))[0] == diagram.events[:60]
+
+
+def test_steps_from_a_state_reduce_by_the_primes_of_its_time():
+    """From sm4's sites at t = 1/13^40 the first meeting is at 7/9: only the
+    start time has 13, and 13^40 cancels from the meeting point."""
+    machine, config = build_sm4()
+    state = RunState(Q.scalar(Fraction(1, 13**40)), config.sites)
+    assert next_collision_delta(machine, state)[1][0][0] == Q.scalar(Fraction(7, 9))
+    for _ in range(20):
+        delta, groups = next_collision_delta(machine, state)
+        assert (delta, groups) == brute_force_next_collision(machine, state)
+        assert _lowest_terms(delta, *(p for p, _ in groups))
+        state, events = advance(machine, state)
+        assert _lowest_terms(state.time, *state.positions())
+        assert [(e.time, e.position) for e in events] == [
+            (state.time, p) for p, _ in groups]
+
+
+def test_a_deep_sm4_run_proves_no_big_coprime_gcd():
+    """A 1000-event sm4 run reaches about 3000-bit scalars.  With the run's
+    denominator lcm its kernels never take a gcd of two operands over 1000
+    bits that comes out as 1: they prove such reductions trivial on small
+    integers instead.  (Without it, the run makes 1007 such gcds.)"""
+
+    class CountingMath:
+        big_coprime = 0
+
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def gcd(self, *args):
+            # math.gcd folds its operands left to right and stops at 1
+            g = args[0]
+            for x in args[1:]:
+                if g == 1:
+                    break
+                h = math.gcd(g, x)
+                if h == 1 and g.bit_length() > 1000 and x.bit_length() > 1000:
+                    self.big_coprime += 1
+                g = h
+            return abs(g)
+
+    counting = CountingMath()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scalars, "math", counting)
+        diagram = run(*build_sm4(), RunLimits(max_events=1000))
+    assert max(e.position.n.bit_length() for e in diagram.events) > 3000
+    assert counting.big_coprime == 0

@@ -660,12 +660,43 @@ def _field_scalars(ctx):
     return st.one_of(drawn)
 
 
-# three operands of one field, each possibly a rational of Q, or of any fields
+# the primes of the smooth denominators below, whose product is a den_lcm
+# that their kernels' divisors mostly exceed
+SMOOTH_PRIMES = (2, 3, 5, 7)
+SMOOTH_LCM = math.prod(SMOOTH_PRIMES)
+
+
+def _smooth_scalars(ctx):
+    """Scalars of ctx over denominators 2^i 3^j 5^k 7^l of up to about 2300
+    bits, as the powers of 3 in sm4's, with numerators of up to 2000 bits."""
+    numerators = st.integers(-(1 << 2000), 1 << 2000)
+    denominators = st.tuples(*[st.integers(0, 300)] * 4).map(
+        lambda e: math.prod(b**k for b, k in zip(SMOOTH_PRIMES, e)))
+    return st.builds(lambda p, q, n: ctx.scalar(Fraction(p, n), Fraction(q, n)),
+                     numerators, numerators if ctx.d else st.just(0), denominators)
+
+
+# three operands of one field, each possibly a rational of Q, or of any fields,
+# or of one field with smooth denominators
 kernel_operands = st.one_of(
     st.sampled_from(KERNEL_FIELDS).flatmap(
         lambda ctx: st.tuples(*[st.one_of(_field_scalars(ctx), q_scalars)] * 3)),
     st.tuples(*[st.one_of([_field_scalars(ctx) for ctx in KERNEL_FIELDS])] * 3),
+    st.sampled_from(KERNEL_FIELDS).flatmap(
+        lambda ctx: st.tuples(*[_smooth_scalars(ctx)] * 3)),
 )
+
+
+def _den_lcms(*operands):
+    """Values of den_lcm that every prime of the operands' denominators
+    divides: their lcm, which no divisor of a kernel exceeds, and, when they
+    are all smooth, SMOOTH_LCM, which the divisors mostly exceed."""
+    lcm = math.lcm(*(x.n for x in operands))
+    rest = lcm
+    for b in SMOOTH_PRIMES:
+        while rest % b == 0:
+            rest //= b
+    return [lcm, SMOOTH_LCM] if rest == 1 else [lcm]
 
 
 def _outcome(compute):
@@ -682,12 +713,27 @@ def _outcome(compute):
 @given(kernel_operands)
 @example((Q5.zero(), PHI, PHI))  # phi^2 = 2*(3 + sqrt(5))/4: the product reduces
 @example((Q.scalar(Fraction(1, 2)), Q.scalar(Fraction(-1, 2)), Q.one()))  # so does 1/2 + 1/2
+# with den_lcm = 210, sums over 3^40 that reduce (1 + 2) and do not (1 - 2)
+@example((Q.scalar(Fraction(1, 3**40)), Q.scalar(2), Q.scalar(Fraction(1, 3**40))))
+# a product over 2^61 that reduces by 2, and a sum over 2^60 that does not
+@example((Q5.scalar(Fraction(1, 2**60), Fraction(1, 2**60)), PHI,
+          Q5.scalar(Fraction(1, 2**60), Fraction(1, 2**60))))
+# a difference over 7^30 that reduces by 7^30, to 0, then times 1/5^20
+@example((Q5.scalar(Fraction(3, 7**30), 1), Q5.scalar(Fraction(3, 7**30), 1),
+          Q.scalar(Fraction(1, 5**20))))
 @settings(max_examples=300)
 def test_kernels_give_the_integers_of_the_operator_chains(operands):
+    """Each kernel gives the integers of its operator chain, also with any
+    den_lcm that covers the primes of the operands' denominators."""
     x, y, z = operands
-    assert _outcome(lambda: affine(x, y, z)) == _outcome(lambda: x + y * z)
-    assert _outcome(lambda: affine(x, -y, z)) == _outcome(lambda: x - y * z)
-    assert _outcome(lambda: scaled_difference(x, y, z)) == _outcome(lambda: (x - y) * z)
+    chains = [(affine, (x, y, z), lambda: x + y * z),
+              (affine, (x, -y, z), lambda: x - y * z),
+              (scaled_difference, (x, y, z), lambda: (x - y) * z)]
+    for kernel, args, chain in chains:
+        want = _outcome(chain)
+        assert _outcome(lambda: kernel(*args)) == want
+        for den_lcm in _den_lcms(*args):
+            assert _outcome(lambda: kernel(*args, den_lcm)) == want
 
 
 def test_kernels_refuse_two_irrational_fields():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sigmach.engine import RunLimits, run
@@ -17,6 +19,20 @@ def test_one_polyline_per_segment_and_one_dot_per_event(sm4):
     assert doc.count("<circle") == len(sm4.events)
     assert "space -1.100 .. 1.100" in doc  # three decimals in the axis labels
     assert "time " in doc
+
+
+def test_segments_start_and_end_at_their_events_dots(sm4):
+    """A segment born or killed at an event is drawn from or to that
+    event's dot, at the very same pixel coordinates."""
+    doc = render_diagram(sm4)
+    ends = re.findall(r'points="([^ ]+) ([^"]+)"', doc)
+    dots = [f"{x},{y}" for x, y in re.findall(r'cx="([^"]+)" cy="([^"]+)"', doc)]
+    assert len(ends) == len(sm4.segments) and len(dots) == len(sm4.events)
+    for seg, (start, end) in zip(sm4.segments, ends):
+        if seg.birth_event is not None:
+            assert start == dots[seg.birth_event]
+        if seg.death_event is not None:
+            assert end == dots[seg.death_event]
 
 
 def test_quadratic_coordinates_render(sm4):
