@@ -369,11 +369,8 @@ class _Runner:
                 spans[-1][1] = i + 2
             else:
                 spans.append([i, i + 2])
-        groups = []
-        for s, e in spans:
-            seg = segments[order[s]]
-            groups.append((s, e, affine(seg.intercept, seg.speed, t, den_lcm)))
-        return groups
+        return [(s, e, affine(seg.intercept, seg.speed, t, den_lcm))
+                for s, e in spans for seg in [segments[order[s]]]]
 
     def step(self, t: Scalar) -> None:
         """Fire every collision at t = next_time().  Raises MissingRuleError

@@ -423,10 +423,13 @@ def _field(d: int, q: int, e: int, other_q: int) -> int:
 # A reduction by gcd(m, p, q), m a product of divisors of those
 # denominators, has its primes among those of gcd(den_lcm, m), which are
 # m's own; so gcd(gcd(den_lcm, m), p, q) == 1 exactly when gcd(m, p, q) == 1.
-# When m is larger than den_lcm a kernel tests that first and skips the
-# reduction if it holds: a sm4 run at depth would otherwise prove a
+# When m is larger than den_lcm a kernel's sum tests that first and skips
+# the reduction if it holds: a sm4 run at depth would otherwise prove a
 # ~3000-bit power of 3 coprime to a ~3000-bit numerator at each event.
 # The test is written inline, where it costs small operands one comparison.
+# The reduction after a product of two irrationals is not guarded: where
+# its m is larger than den_lcm (gcd-phi) it always finds a common factor,
+# so the test would only add a gcd.
 
 
 def affine(c: Scalar, v: Scalar, t: Scalar, den_lcm: int = 0) -> Scalar:
@@ -441,7 +444,7 @@ def affine(c: Scalar, v: Scalar, t: Scalar, den_lcm: int = 0) -> Scalar:
     p, q, n = p // g, q // g, n // h
     both = vq and q  # two irrationals may leave a common factor
     p, q, n = vp * p + vq * q * d, vp * q + vq * p, vn * n
-    if both and not (den_lcm and n > den_lcm and math.gcd(math.gcd(den_lcm, n), p, q) == 1):
+    if both:
         g = math.gcd(n, p, q)
         if g != 1:
             p, q, n = p // g, q // g, n // g
@@ -472,12 +475,7 @@ def scaled_difference(x: Scalar, y: Scalar, k: Scalar, den_lcm: int = 0) -> Scal
     d = _field(d, q, k.d, kq)
     g, h = math.gcd(n, kp, kq), math.gcd(kn, p, q)
     p, q, n, kp, kq, kn = p // h, q // h, n // g, kp // g, kq // g, kn // h
-    both = q and kq  # two irrationals may leave a common factor
-    p, q, n = p * kp + q * kq * d, p * kq + q * kp, n * kn
-    m = n if both else 1
-    if den_lcm and m > den_lcm and math.gcd(math.gcd(den_lcm, m), p, q) == 1:
-        m = 1
-    return _scalar(p, q, n, d, m)
+    return _scalar(p * kp + q * kq * d, p * kq + q * kp, n * kn, d, n * kn if q and kq else 1)
 
 
 def as_scalar(value: ScalarLike, ctx: FieldContext) -> Scalar:
