@@ -104,18 +104,24 @@ class MissingRuleError(RuntimeError):
 
 @dataclass(slots=True, eq=False)
 class SpaceTimeDiagram:
-    """Recorded run: exact event log, signal segments, and the post-event
-    state snapshots, each built when first read."""
+    """Recorded run: exact event log, signal segments, the post-event state
+    snapshots, each built when first read, and the limits the run used."""
 
     machine: SignalMachine
-    initial: InitialConfiguration
     events: list[Event]
     segments: list[Segment]
     snapshots: _Snapshots
-    final_state: RunState
+    limits: RunLimits
     halt_reason: str
     halt_detail: Optional[MissingRuleError] = None
     certificate: object | None = None
+
+    @property
+    def final_state(self) -> RunState:
+        """The state at the time limit, else after the last step."""
+        if self.halt_reason == TIME_LIMIT:
+            return self.snapshots.at(self.limits.max_time)
+        return self.snapshots[-1]
 
     @property
     def horizon(self) -> Optional[Scalar]:
@@ -124,7 +130,9 @@ class SpaceTimeDiagram:
             return None
         if self.halt_reason == MISSING_RULE and self.halt_detail is not None:
             return self.halt_detail.time
-        return self.final_state.time
+        if self.halt_reason == TIME_LIMIT:
+            return self.limits.max_time
+        return self.snapshots.time(-1)
 
     def covers(self, t: Scalar) -> bool:
         if t.sign() < 0:
@@ -261,6 +269,9 @@ class _Snapshots:
     def shape(self, i: int) -> tuple[frozenset[MetaSignal], ...]:
         """The signal sets of state i's sites, left to right."""
         return tuple(sigs for _, sigs in _sites(self._records[i], self._segments, self._solo))
+
+    def time(self, i: int) -> Scalar:
+        return self._records[i][0]
 
     def event_count(self, i: int) -> int:
         return self._records[i][1]
@@ -489,15 +500,8 @@ def run(
                 break
 
     return SpaceTimeDiagram(
-        machine,
-        config,
-        runner.events,
-        runner.segments,
-        snapshots,
-        snapshots.at(limits.max_time) if halt_reason == TIME_LIMIT else snapshots[-1],
-        halt_reason,
-        halt_detail,
-        certificate,
+        machine, runner.events, runner.segments, snapshots, limits,
+        halt_reason, halt_detail, certificate,
     )
 
 

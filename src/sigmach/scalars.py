@@ -287,9 +287,7 @@ class Scalar:
             p, q, n = other.p, other.q, other.n
             d = self.d
             if other.d != d and q:
-                if self.q:
-                    raise FieldError(f"cannot mix sqrt({d}) with sqrt({other.d})")
-                d = other.d
+                d = _field(d, self.q, other.d, q)
         else:
             o = _join(self, other)
             if o is None:
@@ -391,9 +389,7 @@ def _join(x: Scalar, y: ScalarLike) -> tuple[int, int, int, int] | None:
     if type(y) is Scalar:
         if y.d == x.d or not y.q:
             return y.p, y.q, y.n, x.d
-        if not x.q:
-            return y.p, y.q, y.n, y.d
-        raise FieldError(f"cannot mix sqrt({x.d}) with sqrt({y.d})")
+        return y.p, y.q, y.n, _field(x.d, x.q, y.d, y.q)
     if isinstance(y, numbers.Rational):
         return y.numerator, 0, y.denominator, x.d
     return None

@@ -17,7 +17,7 @@ from sigmach.cli import main
 from sigmach.svg import render_diagram
 from sigmach.engine import RunLimits, run
 from sigmach.scalars import parse_scalar
-from sigmach.presets import build_sm4
+from sigmach.presets import ReadoutError, build_sm4
 from sigmach.verify import SUITES
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
@@ -78,6 +78,29 @@ class TestRunCommand:
         assert main(["run", "--preset", "sm4", "--detect-accumulation"]) == 0
         out = capsys.readouterr().out
         assert "ACCUMULATION center=0 time=2 ratio=49/81" in out
+
+    def test_a_failed_readout_exits_1(self, capsys, monkeypatch):
+        def read_arithmetic_result(kind, state, machine):
+            raise ReadoutError("ambiguous final state: []")
+
+        monkeypatch.setattr(cli, "read_arithmetic_result", read_arithmetic_result)
+        assert main(["run", "--preset", "gcd"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "halt: quiescent after 23 events\n"
+        assert captured.err == "readout failed: ambiguous final state: []\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [(["--preset", "gcd"], 0, "result = 1"), (["--preset", "sm4", "--max-events", "3"], 3, None)],
+    )
+    def test_the_module_entry_point_exits_with_the_command_code(self, argv, code, line):
+        src = str(Path(sigmach.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "sigmach.cli", "run", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == code, done.stderr
+        assert line is None or line in done.stdout.splitlines()
 
     def test_sm4_without_detection_is_inconclusive(self, capsys):
         assert main(["run", "--preset", "sm4", "--max-events", "20"]) == 3
@@ -157,9 +180,8 @@ class TestRunCommand:
         assert out[1] == cert.serialize()
         assert by_cli == tested
 
-    def test_the_certifier_builds_only_the_states_it_compares(self, capsys, monkeypatch):
-        # states are told apart by their event counts; the final state is
-        # the only one built that no comparison asked for
+    def test_the_certifier_builds_only_the_states_it_compares(self, monkeypatch):
+        # states are told apart by their event counts
         built, compared = [], set()
         real_state, real_homothety = engine._state, analysis._homothety
 
@@ -171,8 +193,7 @@ class TestRunCommand:
         monkeypatch.setattr(analysis, "_homothety", homothety)
         argv = ["run", "--preset", "gcd", "--a", "1", "--b=-2+1*sqrt(7)", "--detect-accumulation"]
         assert main(argv) == 0
-        events = int(capsys.readouterr().out.split()[3])
-        assert sorted(built) == sorted(compared | {events})
+        assert sorted(built) == sorted(compared)
 
     @pytest.mark.parametrize(
         "system",

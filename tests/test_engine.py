@@ -22,6 +22,7 @@ from sigmach.engine import (
     RunLimits,
     RunState,
     advance,
+    common_horizon,
     configuration_at,
     next_collision_delta,
     run,
@@ -35,6 +36,7 @@ from sigmach.presets import (
     build_sm4,
 )
 from sigmach.scalars import FieldContext, Scalar
+from sigmach.textio import event_log_lines
 from sigmach.verify import (
     brute_force_next_collision,
     brute_force_run,
@@ -209,6 +211,21 @@ class TestRun:
         assert diagram.halt_reason == TIME_LIMIT
         assert diagram.final_state.time == Q.scalar(Fraction(1, 2))
         assert all(e.time <= Q.scalar(Fraction(1, 2)) for e in diagram.events)
+
+    @pytest.mark.parametrize(
+        "limits", [RunLimits(max_time=Q.scalar(Fraction(3, 2))), RunLimits(max_events=7)],
+        ids=["time", "events"],
+    )
+    def test_where_a_run_ends_is_read_without_building_a_state(self, limits, monkeypatch):
+        built, real = [], engine._state
+        monkeypatch.setattr(engine, "_state", lambda record, *rest: built.append(record[0]) or real(record, *rest))
+        diagram, unbounded = run(*build_sm4(), limits), run(*build_gcd(8, 3))
+        h = diagram.horizon
+        assert diagram.covers(h) and not diagram.covers(h + 1)
+        assert common_horizon(diagram, unbounded) == h and common_horizon(unbounded) is None
+        assert built == []
+        assert diagram.final_state.time == h
+        assert built == [h]
 
     def test_event_times_non_decreasing_and_positive(self):
         machine, config = build_modulo(11, 3)
@@ -455,6 +472,15 @@ class TestEvent:
         back = trip(diagram)
         assert back.events == diagram.events
         assert all(type(e) is engine.Event for e in back.events)
+
+    @pytest.mark.parametrize("trip", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+                             ids=["deepcopy", "pickle"])
+    def test_a_diagram_round_trip_keeps_its_log_and_final_state(self, trip):
+        diagram = run(*build_sm4(), RunLimits(max_time=Q.scalar(Fraction(3, 2))))
+        back = trip(diagram)
+        assert event_log_lines(back) == event_log_lines(diagram)
+        assert back.limits == diagram.limits and back.horizon == Q.scalar(Fraction(3, 2))
+        assert back.final_state == diagram.final_state
 
 
 class TestSnapshots:

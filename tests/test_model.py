@@ -185,6 +185,12 @@ class TestValues:
         assert repr(m1) == "SignalMachine(4 signals, 4 speeds, 2 rules)"
         assert repr(c1) == "InitialConfiguration([left+zig]@-1,[right]@1)"
 
+    def test_by_name_refuses_an_unknown_name(self):
+        machine, _ = build_sm4()
+        assert machine.by_name("zig").name == "zig"
+        with pytest.raises(MachineError, match="unknown meta-signal 'ghost'"):
+            machine.by_name("ghost")
+
 
 class TestClassify:
     def test_gcd_8_3(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import sigmach.engine as engine
-from sigmach.engine import EVENT_LIMIT, QUIESCENT, RunLimits, run
+from sigmach.engine import EVENT_LIMIT, QUIESCENT, RunLimits, RunState, run
 from sigmach.model import validate
 from sigmach.presets import (
     PHI_CONTEXT,
@@ -17,6 +17,7 @@ from sigmach.presets import (
     build_subtraction,
     geometric_result,
     phi,
+    read_arithmetic_result,
     read_encoded_value,
     wall_trace,
 )
@@ -148,8 +149,27 @@ class TestReadout:
         with pytest.raises(ReadoutError, match="wall"):
             read_encoded_value(diagram.final_state, machine, "wall0", "wall_r")
 
+    @pytest.mark.parametrize("walls", [0, 3])
+    def test_gcd_readout_needs_exactly_two_origin_walls(self, walls):
+        machine, _ = build_gcd(8, 3)
+        wall0, wall_b = frozenset({machine.by_name("wall0")}), frozenset({machine.by_name("wall_b")})
+        sites = ((Q.scalar(-1), wall_b), *((Q.scalar(x), wall0) for x in range(walls)))
+        with pytest.raises(ReadoutError, match=r"ambiguous final state: \["):
+            read_encoded_value(RunState(Q.zero(), sites), machine)
+
+    def test_a_subtraction_without_its_result_wall_is_no_result(self):
+        machine, _ = build_subtraction(11, 3)
+        state = RunState(Q.zero(), ((Q.zero(), frozenset({machine.by_name("wall0")})),))
+        with pytest.raises(ReadoutError, match=r"ambiguous final state: \['wall0@0'\]"):
+            read_arithmetic_result("sub", state, machine)
+
 
 class TestWallTrace:
+    def test_a_machine_without_the_gcd_walls_has_no_trace(self):
+        diagram = run(*build_sm4(), RunLimits(max_events=3))
+        with pytest.raises(ValueError, match="wall traces need the gcd machine's wall/zig signals"):
+            wall_trace(diagram)
+
     def test_gcd_8_3_trace(self):
         machine, config = build_gcd(8, 3)
         diagram = run(machine, config)

@@ -51,6 +51,10 @@ class TestFieldContext:
         assert square_free_split(7) == (1, 7)
         assert square_free_split(36) == (6, 1)
 
+    def test_a_negative_radicand_has_no_split(self):
+        with pytest.raises(ValueError, match="negative radicand"):
+            square_free_split(-1)
+
     def test_rational_context_rejects_irrational_part(self):
         with pytest.raises(FieldError):
             Q.scalar(1, 1)
@@ -317,6 +321,11 @@ class TestEuclidTrace:
         steps = euclid_trace(Q.scalar(4), Q.scalar(2))
         assert len(steps) == 1
         assert steps[0][1] == Q.scalar(2)
+
+    @pytest.mark.parametrize("a, b", [(3, 8), (8, 0), (8, -3)])
+    def test_operands_out_of_order_or_not_positive_are_refused(self, a, b):
+        with pytest.raises(ValueError, match="need a >= b > 0"):
+            euclid_trace(Q.scalar(a), Q.scalar(b))
 
     def test_phi_quotients_all_one(self):
         steps = euclid_trace(PHI, Q5.one(), max_steps=20)

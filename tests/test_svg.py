@@ -1,8 +1,10 @@
 import re
+from fractions import Fraction
 
 import pytest
 
-from sigmach.engine import RunLimits, run
+from sigmach.engine import TIME_LIMIT, RunLimits, run
+from sigmach.model import InitialConfiguration, SignalMachine
 from sigmach.presets import build_gcd_phi, build_sm4
 from sigmach.svg import render_diagram
 
@@ -40,3 +42,19 @@ def test_quadratic_coordinates_render(sm4):
     diagram = run(machine, config, RunLimits(max_events=30))
     doc = render_diagram(diagram)
     assert doc.count("<circle") == 30
+
+
+def test_one_stationary_signal_gets_a_unit_wide_view():
+    machine = SignalMachine.build([("w", 0)])
+    doc = render_diagram(run(machine, InitialConfiguration.build(machine, [("w", 0)])))
+    assert doc.count("<polyline") == 1
+    assert "space -0.550 .. 0.550" in doc and "time -0.050 .. 1.050" in doc
+
+
+def test_a_run_cut_before_its_first_event_gets_a_unit_long_view():
+    machine, config = build_sm4()
+    diagram = run(machine, config, RunLimits(max_time=machine.ctx.scalar(Fraction(1, 10**12))))
+    assert diagram.halt_reason == TIME_LIMIT and diagram.events == []
+    doc = render_diagram(diagram)
+    assert doc.count("<polyline") == len(diagram.segments) == 3
+    assert "time -0.050 .. 1.050" in doc
