@@ -22,7 +22,6 @@ from .model import (
     InitialConfiguration,
     MetaSignal,
     SignalMachine,
-    apply_affine_to_configuration,
     apply_affine_to_machine,
     classify,
     normalize_speeds,
@@ -36,17 +35,14 @@ from .engine import (
     RunLimits,
     RunState,
     SpaceTimeDiagram,
-    advance,
     configuration_at,
     next_collision_delta,
     run,
 )
 from .analysis import (
-    CausalCone,
     ContractionCertificate,
     ContractionSearch,
     PeriodicityCertificate,
-    collisions_in_cone,
     detect_contraction,
     detect_periodicity,
     diagram_included,
@@ -55,7 +51,6 @@ from .analysis import (
 from .mesh import (
     MeshSpec,
     StripSpec,
-    central_collision,
     embed_in_mesh,
     mesh_configuration,
     strip_configuration,

@@ -226,7 +226,7 @@ def _lines(
 def detect_periodicity(
     diagram: SpaceTimeDiagram,
     window: tuple[Scalar, Scalar],
-    horizon: Optional[Scalar] = None,
+    horizon: Scalar,
 ) -> Optional[PeriodicityCertificate]:
     """Least (transient, period) making the windowed diagram exactly periodic
     up to the horizon, decided on lines and, where the window is closed, on
@@ -239,10 +239,10 @@ def detect_periodicity(
     [T + P, horizon]; so the collisions repeat both ways, which also pins
     each collision instant, where closed pieces still hold the incoming
     signals.  The transient is the least time from which the
-    right-continuous windowed configuration repeats.  The horizon defaults
-    to the final state's time; the diagram must cover it.  A quiescent tail
-    (no collision in the window and no moving signal in it after T) counts
-    as periodic with a nominal period of a third of the remaining horizon.
+    right-continuous windowed configuration repeats.  The diagram must cover
+    the horizon.  A quiescent tail (no collision in the window and no moving
+    signal in it after T) counts as periodic with a nominal period of a
+    third of the remaining horizon.
 
     The window is closed at T when no speed but the slowest is negative, no
     speed but the fastest is positive, and in the state at T every site
@@ -276,10 +276,6 @@ def detect_periodicity(
     lo, hi = window
     if hi < lo:
         raise ValueError("window is reversed: its left end is right of its right end")
-    if horizon is None:
-        if diagram.horizon is None:
-            raise ValueError("horizon required: diagram is unbounded")
-        horizon = diagram.final_state.time
     if not diagram.covers(horizon):
         raise ValueError("diagram does not cover the requested horizon")
 
@@ -407,38 +403,6 @@ def diagram_included(inner: SpaceTimeDiagram, outer: SpaceTimeDiagram) -> bool:
             if i < 0 or _before(union[i][1], hi):
                 return False
     return True
-
-
-# -- causal past -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CausalCone:
-    """Backward light cone below (apex_x, apex_t), bounded by the machine's
-    extremal speeds; membership uses the strict inequalities."""
-
-    apex_x: Scalar
-    apex_t: Scalar
-    max_right_speed: Scalar
-    max_left_speed: Scalar
-
-    @classmethod
-    def from_machine(
-        cls, machine: SignalMachine, apex_x: Scalar, apex_t: Scalar
-    ) -> "CausalCone":
-        speeds = machine.distinct_speeds()
-        return cls(apex_x, apex_t, speeds[-1], speeds[0])
-
-    def contains(self, x: Scalar, t: Scalar) -> bool:
-        if not t < self.apex_t:
-            return False
-        dt = t - self.apex_t
-        dx = x - self.apex_x
-        return self.max_right_speed * dt < dx and dx < self.max_left_speed * dt
-
-
-def collisions_in_cone(diagram: SpaceTimeDiagram, cone: CausalCone) -> int:
-    return sum(1 for e in diagram.events if cone.contains(e.position, e.time))
 
 
 # -- two-speed bound ------------------------------------------------------------------

@@ -1,20 +1,21 @@
-"""Event-driven dynamics: one scheduler for next-collision search, single
-steps and full runs.
+"""Event-driven dynamics: one scheduler for next-collision search and full
+runs.
 
-`run`, `advance` and `next_collision_delta` all drive the same `_Runner`.  It
-records every live signal once, as its `Segment`, the line x = intercept +
-speed*t, and keeps the segment ids in spatial order and the meeting times of
-neighbouring lines in a heap, so an event costs work for the signals that
-collide, not for every live one: one fused kernel call of `sigmach.scalars`
-for its meeting point, one per outgoing speed that no incoming line had, and
-one per new neighbour pair.  The test suite checks its next meeting against a
-brute-force all-pairs oracle through `next_collision_delta`, and whole runs
-against `verify.brute_force_run`, which uses plain operators and so checks the
-kernels too.  All collision coordinates are exact scalars, so simultaneous and
-multi-way collisions group by exact meeting time with no tie-breaking.  A run
-records only the ids of the live lines after each step;
-`SpaceTimeDiagram.snapshots` is the one reader of that record: it builds a
-step's `RunState` when first read, for `configuration_at` and the final state.
+`run` and `next_collision_delta` drive the same `_Runner`.  It records every
+live signal once, as its `Segment`, the line x = intercept + speed*t, and
+keeps the segment ids in spatial order and the meeting times of neighbouring
+lines in a heap, so an event costs work for the signals that collide, not for
+every live one: one fused kernel call of `sigmach.scalars` for its meeting
+point, one per outgoing speed that no incoming line had, and one per new
+neighbour pair.  The test suite checks its next meeting against a
+brute-force all-pairs oracle through `next_collision_delta`, and whole runs,
+events and post-event states, against `verify.brute_force_run`, which uses
+plain operators and so checks the kernels too.  All collision coordinates
+are exact scalars, so simultaneous and multi-way collisions group by exact
+meeting time with no tie-breaking.  A run records only the ids of the live
+lines after each step; `SpaceTimeDiagram.snapshots` is the one reader of
+that record: it builds a step's `RunState` when first read, for
+`configuration_at` and the final state.
 """
 
 from __future__ import annotations
@@ -295,9 +296,7 @@ class _Runner:
     neighbour meetings, the clock, and the events and segments recorded
     since construction."""
 
-    def __init__(
-        self, machine: SignalMachine, sites: Sequence[Site], time: Scalar, event_count: int
-    ) -> None:
+    def __init__(self, machine: SignalMachine, sites: Sequence[Site], time: Scalar) -> None:
         self.machine = machine
         self.speeds = speeds = machine.distinct_speeds()
         self.solo: _Solo = {ms: frozenset((ms,)) for ms in machine.signals}
@@ -314,7 +313,7 @@ class _Runner:
             time.n, *(v.n for v in speeds), *(k.n for row in self.closing for k in row),
             *(p.n for p, _ in sites))
         self.time = time
-        self.event_count = event_count
+        self.event_count = 0
         self.events: list[Event] = []
         self.segments: list[Segment] = []
         self.order: list[int] = []
@@ -430,7 +429,7 @@ def next_collision_delta(
 ) -> tuple[Optional[Scalar], list[tuple[Scalar, frozenset[MetaSignal]]]]:
     """Minimal positive delay until some signals meet, plus every meeting
     point realized at that delay.  (None, []) when nothing ever collides."""
-    runner = _Runner(machine, state.sites, state.time, state.event_count)
+    runner = _Runner(machine, state.sites, state.time)
     t = runner.next_time()
     if t is None:
         return None, []
@@ -440,17 +439,6 @@ def next_collision_delta(
         for start, end, p in runner.pop_groups(t)
     ]
     return t - state.time, groups
-
-
-def advance(machine: SignalMachine, state: RunState) -> tuple[RunState, list[Event]]:
-    """One dynamics step from an arbitrary state.  Raises MissingRuleError on
-    an unruled collision and ValueError when no collision is ahead."""
-    runner = _Runner(machine, state.sites, state.time, state.event_count)
-    t = runner.next_time()
-    if t is None:
-        raise ValueError("no further collision: delta is infinite")
-    runner.step(t)
-    return _state(runner.record(), runner.speeds, runner.segments, runner.solo), runner.events
 
 
 # -- full runs ------------------------------------------------------------------
@@ -467,7 +455,7 @@ def run(
     """Iterate the dynamics until quiescence, a limit, a missing rule, or a
     certificate from the optional analysis callback."""
     limits = limits or RunLimits()
-    runner = _Runner(machine, config.sites, machine.ctx.zero(), 0)
+    runner = _Runner(machine, config.sites, machine.ctx.zero())
     snapshots = _Snapshots(runner.speeds, runner.segments, runner.solo)
     snapshots.append(runner.record())
     halt_reason = QUIESCENT

@@ -146,13 +146,6 @@ def mesh_configuration(spec: MeshSpec, machine: SignalMachine) -> InitialConfigu
     return InitialConfiguration.build(machine, placements)
 
 
-def central_collision(spec: StripSpec) -> tuple[Scalar, Scalar]:
-    """First meeting of the two extremal moving signals: lands exactly on a
-    subdivision point, at x = x0 + w*p/(p+q), t = w*q/(p+q)."""
-    x = spec.x0 + spec.w * Fraction(spec.p, spec.subdivisions)
-    return x, spec.transient_time
-
-
 def embed_in_mesh(config: InitialConfiguration, p: int, q: int) -> MeshSpec:
     """Mesh whose initial configuration contains every site of `config`:
     width = gcd of consecutive gaps, k = span/width.  Raises

@@ -164,7 +164,7 @@ class InitialConfiguration:
                 raise MachineError(_unknown(sig), ("init", i))
             p = machine.ctx.parse(pos) if isinstance(pos, str) else as_scalar(pos, machine.ctx)
             here = by_pos.setdefault(p, {})
-            if ms not in here and machine.speed_of(ms) in here.values():
+            if machine.speed_of(ms) in here.values():
                 names = sorted(m.name for m in [*here, ms])
                 raise MachineError(
                     f"co-located signals with equal speed at {p}: {names}", ("init", i)
@@ -254,9 +254,6 @@ class AffineMap:
     def __call__(self, x: Scalar) -> Scalar:
         return self.ratio * x + self.offset
 
-    def inverse(self, y: Scalar) -> Scalar:
-        return (y - self.offset) / self.ratio
-
     @classmethod
     def identity(cls, ctx: FieldContext) -> "AffineMap":
         return cls(ctx.one(), ctx.zero())
@@ -275,18 +272,6 @@ def apply_affine_to_machine(machine: SignalMachine, amap: AffineMap) -> SignalMa
     new_speed = {ms: amap(sp) for ms, sp in machine.speed.items()}
     ctx = next((FieldContext(sp.d) for sp in new_speed.values() if sp.q), machine.ctx)
     return SignalMachine(ctx, machine.signals, new_speed, machine.rules)
-
-
-def apply_affine_to_configuration(
-    config: InitialConfiguration, amap: AffineMap
-) -> InitialConfiguration:
-    """Inverse-image convention: the new configuration holds at x whatever the
-    old one holds at ratio*x + offset, so sites move to (p - offset)/ratio."""
-    sites = sorted(
-        ((amap.inverse(p), sigs) for p, sigs in config.sites),
-        key=lambda site: site[0],
-    )
-    return InitialConfiguration(sites)
 
 
 # -- support machines ---------------------------------------------------------

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .engine import (
-    QUIESCENT,
-    RunLimits,
-    RunState,
-    SpaceTimeDiagram,
-    run,
-)
+from .engine import QUIESCENT, RunState, SpaceTimeDiagram, run
 from .model import InitialConfiguration, MachineError, SignalMachine
 from .scalars import FieldContext, Scalar, ScalarLike, as_scalar
 
@@ -280,20 +274,14 @@ def read_arithmetic_result(kind: str, state: RunState, machine: SignalMachine) -
         raise
 
 
-def geometric_result(
-    kind: str,
-    a: ScalarLike,
-    b: ScalarLike,
-    max_events: int = RunLimits.max_events,
-    ctx: FieldContext | None = None,
-) -> Scalar:
+def geometric_result(kind: str, a: ScalarLike, b: ScalarLike) -> Scalar:
     """Build, run, and read one arithmetic machine: kind is "sub", "mod" or
     "gcd".  Errors loudly when the run exhausts its event budget, which for
     commensurate inputs would mean a transcription bug."""
     if kind not in _EUCLID:
         raise ValueError(f"unknown arithmetic machine {kind!r}")
-    machine, config = _build_euclid(kind, a, b, ctx)
-    diagram = run(machine, config, RunLimits(max_events=max_events))
+    machine, config = _build_euclid(kind, a, b, None)
+    diagram = run(machine, config)
     if diagram.halt_reason != QUIESCENT:
         raise RuntimeError(
             f"{kind} run did not halt (reason: {diagram.halt_reason}); "

@@ -110,6 +110,7 @@ _RAT_TXT = r"[+-]?\d+(?:/\d+)?"
 _RE_RAT = re.compile(rf"^(?P<a>{_RAT_TXT})$")
 _RE_SQRT = re.compile(rf"^(?P<b>{_RAT_TXT})\*sqrt\((?P<d>\d+)\)$")
 _RE_FULL = re.compile(rf"^(?P<a>{_RAT_TXT})(?P<b>[+-]\d+(?:/\d+)?)\*sqrt\((?P<d>\d+)\)$")
+_RE_SPLIT_DIGITS = re.compile(r"\d\s+\d")
 
 
 def _int(digits: str) -> int:
@@ -141,7 +142,10 @@ def _parse_rational(text: str) -> Fraction:
 
 def parse_scalar(text: str, ctx: FieldContext = RATIONALS) -> Scalar:
     """Parse ``p``, ``p/q`` or ``a+b*sqrt(d)`` (also ``a-b*sqrt(d)``,
-    ``b*sqrt(d)``).  Bit-exact inverse of :func:`format_scalar`."""
+    ``b*sqrt(d)``), with spaces allowed around signs and operators but not
+    between two digits.  Bit-exact inverse of :func:`format_scalar`."""
+    if _RE_SPLIT_DIGITS.search(text):
+        raise ScalarSyntaxError(f"malformed scalar: {text!r}")
     s = text.replace(" ", "")
     if not s:
         raise ScalarSyntaxError("empty scalar")

@@ -90,24 +90,26 @@ def brute_force_next_collision(
 
 def brute_force_run(
     machine: SignalMachine, config: InitialConfiguration, limits: RunLimits
-) -> tuple[list[Event], str]:
+) -> tuple[list[Event], str, list[RunState]]:
     """Whole-run oracle: repeat `brute_force_next_collision`, apply the rule
     at every meeting point, and stop on the limits and halts `run` uses.
-    Returns the events and the halt reason.  It computes with plain Scalar
-    operators, never the fused kernels that `run` calls, so it checks them."""
+    Returns the events, the halt reason and the initial and post-step
+    states, as `run` records them.  It computes with plain Scalar operators,
+    never the fused kernels that `run` calls, so it checks them."""
     sp = machine.speed_of
-    state = RunState(machine.ctx.zero(), config.sites)
+    states = [RunState(machine.ctx.zero(), config.sites, 0)]
     events: list[Event] = []
     while len(events) < limits.max_events:
+        state = states[-1]
         delta, groups = brute_force_next_collision(machine, state)
         if delta is None:
-            return events, QUIESCENT
+            return events, QUIESCENT, states
         t = state.time + delta
         if limits.max_time is not None and t > limits.max_time:
-            return events, TIME_LIMIT
+            return events, TIME_LIMIT, states
         rules = [machine.rule_for(incoming) for _, incoming in groups]
         if None in rules:
-            return events, MISSING_RULE
+            return events, MISSING_RULE, states
         landing: dict[Scalar, frozenset[MetaSignal]] = {}
         for x, sigs in state.sites:
             for ms in sigs:
@@ -116,8 +118,9 @@ def brute_force_run(
         for (p, incoming), outgoing in zip(groups, rules):
             events.append(Event(len(events), t, p, incoming, outgoing))
             landing[p] = outgoing
-        state = RunState(t, tuple((p, s) for p, s in sorted(landing.items()) if s))
-    return events, EVENT_LIMIT
+        sites = tuple((p, s) for p, s in sorted(landing.items()) if s)
+        states.append(RunState(t, sites, len(events)))
+    return events, EVENT_LIMIT, states
 
 
 # -- random generators --------------------------------------------------------------
@@ -308,7 +311,7 @@ def suite_run(seed: int = 0, count: int = 200) -> list[CaseResult]:
 
     def case(rng: random.Random, i: int) -> str:
         machine, config, limits = random_run_case(rng, i)
-        events, halt = brute_force_run(machine, config, limits)
+        events, halt, _ = brute_force_run(machine, config, limits)
         want = [event_line(e) for e in events]
         diagram = run(machine, config, limits)
         got = event_log_lines(diagram)

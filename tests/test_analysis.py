@@ -8,8 +8,6 @@ import pytest
 import sigmach.analysis as analysis
 import sigmach.engine as engine
 from sigmach.analysis import (
-    CausalCone,
-    collisions_in_cone,
     contraction_replay_matches,
     detect_contraction,
     detect_periodicity,
@@ -417,7 +415,7 @@ class TestPeriodicity:
         with pytest.raises(ValueError, match="reversed"):
             detect_periodicity(strip_diagram, (Q.one(), Q.zero()), Q.scalar(4))
 
-    def test_default_horizon_is_the_final_state_time(self):
+    def test_a_missing_rule_run_is_searched_up_to_its_last_state(self):
         # r bounces off w at t = 2 and meets the other r at t = 4, where no
         # rule exists: the diagram covers [0, 4) and its last state is at 2
         machine = SignalMachine.build([("r", 1), ("l", -1), ("w", 0)], [(("r", "w"), ("l", "w"))])
@@ -426,13 +424,10 @@ class TestPeriodicity:
         assert diagram.halt_reason == MISSING_RULE and diagram.horizon == Q.scalar(4)
         assert diagram.final_state.time == Q.scalar(2)
         window = (-Q.one(), Q.zero())
-        got = detect_periodicity(diagram, window)
+        got = detect_periodicity(diagram, window, Q.scalar(2))
         assert got.serialize() == "PERIODIC window=[-1,0] transient=0 period=2/3"
         with pytest.raises(ValueError, match="does not cover"):
             detect_periodicity(diagram, window, Q.scalar(4))
-        machine, config = build_sm2_support(1, 1, "sorted")
-        with pytest.raises(ValueError, match="horizon required"):
-            detect_periodicity(run(machine, config), window)
 
     def test_exclusive_with_contraction(self, sm4_diagram, strip_diagram):
         assert detect_contraction(sm4_diagram) is not None
@@ -533,50 +528,6 @@ class TestDiagramInclusion:
         assert d1.horizon == Q.zero() and d1.events == []
         assert diagram_included(d1, d1)
         assert not diagram_included(d1, d2)
-
-
-class TestCausalCone:
-    def test_accumulation_apex_swallows_every_event(self, sm4_diagram):
-        cone = CausalCone.from_machine(
-            sm4_diagram.machine, Q.zero(), Q.scalar(2)
-        )
-        assert cone.max_right_speed == Q.scalar(4)
-        assert cone.max_left_speed == Q.scalar(-4)
-        assert collisions_in_cone(sm4_diagram, cone) == len(sm4_diagram.events)
-
-    def test_event_count_grows_with_budget(self):
-        machine, config = build_sm4()
-        counts = []
-        for budget in (10, 20, 40):
-            d = run(machine, config, RunLimits(max_events=budget))
-            cone = CausalCone.from_machine(machine, Q.zero(), Q.scalar(2))
-            counts.append(collisions_in_cone(d, cone))
-        assert counts == [10, 20, 40]
-
-    def test_apex_below_first_event(self, sm4_diagram):
-        cone = CausalCone.from_machine(sm4_diagram.machine, Q.zero(), Q.scalar(Fraction(1, 9)))
-        assert collisions_in_cone(sm4_diagram, cone) == 0
-
-    def test_tiny_cone_counts_by_enumeration(self, sm4_diagram):
-        first = sm4_diagram.events[0]
-        cone = CausalCone(
-            first.position,
-            first.time + Q.scalar(Fraction(1, 1000)),
-            Q.scalar(4),
-            Q.scalar(-4),
-        )
-        inside = [
-            e
-            for e in sm4_diagram.events
-            if cone.contains(e.position, e.time)
-        ]
-        assert inside == [first]
-
-    def test_strict_boundaries(self):
-        cone = CausalCone(Q.zero(), Q.one(), Q.one(), Q.scalar(-1))
-        assert not cone.contains(Q.zero(), Q.one())  # apex itself
-        assert not cone.contains(Q.scalar(Fraction(-1, 2)), Q.scalar(Fraction(1, 2)))
-        assert cone.contains(Q.zero(), Q.scalar(Fraction(1, 2)))
 
 
 class TestTwoSpeedBound:

@@ -212,6 +212,12 @@ class TestRunCommand:
         assert main(["run", "--preset", "gcd"]) == 0
         assert "result = 1" in capsys.readouterr().out.splitlines()
 
+    def test_an_operand_with_digits_split_by_a_space_exits_1(self, capsys):
+        assert main(["run", "--preset", "gcd", "--a", "1 2", "--b", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: malformed scalar: '1 2'\n"
+
     def test_mixed_radical_operands_are_rejected(self, capsys):
         argv = ["run", "--preset", "gcd", "--a", "1*sqrt(3)", "--b=-1+1*sqrt(2)"]
         assert main(argv) == 1

@@ -21,7 +21,6 @@ from sigmach.engine import (
     MissingRuleError,
     RunLimits,
     RunState,
-    advance,
     common_horizon,
     configuration_at,
     next_collision_delta,
@@ -93,11 +92,14 @@ class TestNextCollisionDelta:
 
 
 class TestAdvance:
+    """A run's first step."""
+
     def test_sm4_first_step(self):
         machine, config = build_sm4()
-        state, events = advance(machine, initial_state(machine, config))
+        diagram = run(machine, config, RunLimits(max_events=1))
+        state = diagram.snapshots[1]
         assert state.time == Q.scalar(Fraction(4, 9))
-        assert len(events) == 1
+        assert len(diagram.events) == 1 and state.event_count == 1
         by_pos = {str(p): sorted(m.name for m in sigs) for p, sigs in state.sites}
         assert by_pos == {"-7/9": ["left"], "7/9": ["right", "zag"]}
 
@@ -106,12 +108,11 @@ class TestAdvance:
             [("r", 1), ("l", -1)], [(("r", "l"), ())]
         )
         config = InitialConfiguration.build(machine, [("r", 0), ("l", 2)])
-        state, events = advance(machine, initial_state(machine, config))
-        assert state.sites == ()
-        assert events[0].outgoing == frozenset()
         diagram = run(machine, config)
         assert diagram.halt_reason == QUIESCENT
         assert len(diagram.events) == 1
+        assert diagram.events[0].outgoing == frozenset()
+        assert diagram.final_state.sites == ()
 
     def test_triple_collision_in_gcd(self):
         machine, config = build_gcd(4, 2)
@@ -125,18 +126,11 @@ class TestAdvance:
     def test_missing_rule_is_reported(self):
         machine = SignalMachine.build([("r", 1), ("s", 0)])  # no rules at all
         config = InitialConfiguration.build(machine, [("r", 0), ("s", 1)])
-        with pytest.raises(MissingRuleError) as err:
-            advance(machine, initial_state(machine, config))
-        assert err.value.position == Q.one()
-        assert err.value.time == Q.one()
-        assert {m.name for m in err.value.incoming} == {"r", "s"}
-
-    def test_nothing_ahead_is_an_error(self):
-        machine = SignalMachine.build([("r", 1), ("s", 0)], [(("r", "s"), ("s",))])
-        config = InitialConfiguration.build(machine, [("s", 0), ("r", 1)])
-        with pytest.raises(ValueError) as err:
-            advance(machine, initial_state(machine, config))
-        assert err.value.args == ("no further collision: delta is infinite",)
+        err = run(machine, config).halt_detail
+        assert isinstance(err, MissingRuleError)
+        assert err.position == Q.one()
+        assert err.time == Q.one()
+        assert {m.name for m in err.incoming} == {"r", "s"}
 
 
 class TestRun:
@@ -414,7 +408,7 @@ class TestSchedulerOracle:
         diagram = run(machine, config)
         assert diagram.halt_reason == QUIESCENT
         assert len(diagram.events) == n_events
-        assert brute_force_run(machine, config, RunLimits()) == (diagram.events, QUIESCENT)
+        assert brute_force_run(machine, config, RunLimits())[:2] == (diagram.events, QUIESCENT)
 
 
 def drifted(machine, state, t):
@@ -425,14 +419,6 @@ def drifted(machine, state, t):
         key=lambda site: site[0],
     )
     return RunState(t, tuple((p, frozenset((ms,))) for p, ms in moved), state.event_count)
-
-
-def stepped_states(machine, config, steps):
-    """The initial state and the states reached by `advance`, one per step."""
-    states = [initial_state(machine, config)]
-    for _ in range(steps):
-        states.append(advance(machine, states[-1])[0])
-    return states
 
 
 def snapshot_systems():
@@ -485,11 +471,12 @@ class TestEvent:
 
 class TestSnapshots:
     """`run()` records lines and builds a state when it is first read; the
-    order of reads must not change what is read."""
+    order of reads must not change what is read: the states of the
+    whole-run oracle, which shares no code with the scheduler."""
 
     @pytest.mark.parametrize("machine, config, limits", SNAPSHOT_SYSTEMS)
     def test_any_read_order_gives_the_stepped_states(self, machine, config, limits):
-        want = stepped_states(machine, config, len(run(machine, config, limits).snapshots) - 1)
+        want = brute_force_run(machine, config, limits)[2]
         n = len(want)
         backwards = run(machine, config, limits).snapshots
         assert [backwards[i] for i in reversed(range(n))] == want[::-1]
@@ -504,7 +491,8 @@ class TestSnapshots:
     @pytest.mark.parametrize("machine, config, limits", SNAPSHOT_SYSTEMS)
     def test_configuration_at_between_and_at_events(self, machine, config, limits):
         diagram = run(machine, config, limits)
-        states = stepped_states(machine, config, len(diagram.snapshots) - 1)
+        states = brute_force_run(machine, config, limits)[2]
+        assert len(states) == len(diagram.snapshots)
         for state, later in zip(states, states[1:]):
             assert configuration_at(diagram, state.time) == state
             mid = (state.time + later.time) / 2
@@ -630,7 +618,7 @@ def test_a_run_reduces_by_the_primes_of_its_closing_reciprocals():
     _diagram_in_lowest_terms(diagram)
     backs = [seg.intercept for seg in diagram.segments if seg.signal.name == "back"]
     assert backs and all(not c.q and c.n == 1 for c in backs)
-    assert brute_force_run(machine, config, RunLimits()) == (diagram.events, QUIESCENT)
+    assert brute_force_run(machine, config, RunLimits())[:2] == (diagram.events, QUIESCENT)
 
 
 def test_a_run_reduces_by_the_primes_of_its_sites():
@@ -651,18 +639,20 @@ def test_a_run_reduces_by_the_primes_of_its_sites():
 
 def test_steps_from_a_state_reduce_by_the_primes_of_its_time():
     """From sm4's sites at t = 1/13^40 the first meeting is at 7/9: only the
-    start time has 13, and 13^40 cancels from the meeting point."""
+    start time has 13, and 13^40 cancels from the meeting point.  sm4's
+    states from t0 are those from 0, each moved t0 later, so the oracle's
+    states and events give every step's sites and meetings."""
     machine, config = build_sm4()
-    state = RunState(Q.scalar(Fraction(1, 13**40)), config.sites)
-    assert next_collision_delta(machine, state)[1][0][0] == Q.scalar(Fraction(7, 9))
-    for _ in range(20):
+    t0 = Q.scalar(Fraction(1, 13**40))
+    events, _, states = brute_force_run(machine, config, RunLimits(max_events=20))
+    assert next_collision_delta(machine, RunState(t0, config.sites))[1][0][0] == Q.scalar(Fraction(7, 9))
+    for state, later in zip(states, states[1:]):
+        state = RunState(state.time + t0, state.sites, state.event_count)
         delta, groups = next_collision_delta(machine, state)
         assert (delta, groups) == brute_force_next_collision(machine, state)
         assert _lowest_terms(delta, *(p for p, _ in groups))
-        state, events = advance(machine, state)
-        assert _lowest_terms(state.time, *state.positions())
-        assert [(e.time, e.position) for e in events] == [
-            (state.time, p) for p, _ in groups]
+        assert [(state.time + delta, p) for p, _ in groups] == [
+            (e.time + t0, e.position) for e in events[state.event_count:later.event_count]]
 
 
 def test_a_deep_sm4_run_proves_no_big_coprime_gcd():

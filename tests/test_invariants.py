@@ -8,7 +8,7 @@ import pytest
 import sigmach.analysis as analysis
 from sigmach.analysis import ContractionSearch, detect_contraction, two_speed_bound_check
 from sigmach.engine import QUIESCENT, RunLimits, RunState, configuration_at, run
-from sigmach.mesh import StripSpec, central_collision, strip_configuration, support_machine_nu
+from sigmach.mesh import StripSpec, strip_configuration, support_machine_nu
 from sigmach.model import InitialConfiguration, SignalMachine
 from sigmach.presets import build_gcd, build_gcd_phi, build_sm4
 from sigmach.scalars import FieldContext
@@ -82,7 +82,7 @@ def test_strip_configuration_at_central_instant_shows_the_triple():
     diagram = run(
         machine, strip_configuration(spec, machine), RunLimits(max_time=Q.scalar(1))
     )
-    x, t = central_collision(spec)
+    x, t = Q.scalar(Fraction(2, 5)), Q.scalar(Fraction(3, 5))
     state = configuration_at(diagram, t)
     site = next(sigs for p, sigs in state.sites if p == x)
     assert {m.name for m in site} == {"L", "S", "R"}

@@ -22,7 +22,6 @@ from sigmach.mesh import (  # noqa: E402
     STILL,
     MeshSpec,
     StripSpec,
-    central_collision,
     embed_in_mesh,
     mesh_configuration,
     strip_configuration,
@@ -117,26 +116,27 @@ class TestConfigurations:
 
 
 class TestCentralCollision:
+    """A strip's first L, S, R triple collision is where its two extremal
+    moving signals first meet: x = x0 + w*p/(p+q), t = w*q/(p+q)."""
+
+    @staticmethod
+    def first_triple(spec):
+        machine = support_machine_nu(spec.p, spec.q)
+        diagram = run(machine, strip_configuration(spec, machine), RunLimits(max_time=spec.w))
+        hits = [e for e in diagram.events if {m.name for m in e.incoming} == {"L", "S", "R"}]
+        return hits[0].position, hits[0].time
+
     def test_formula_2_3(self):
-        x, t = central_collision(StripSpec.make(2, 3, 0, 1))
+        x, t = self.first_triple(StripSpec.make(2, 3, 0, 1))
         assert (x, t) == (Q.scalar(Fraction(2, 5)), Q.scalar(Fraction(3, 5)))
 
     def test_formula_symmetric(self):
-        x, t = central_collision(StripSpec.make(1, 1, 0, 1))
+        x, t = self.first_triple(StripSpec.make(1, 1, 0, 1))
         assert (x, t) == (Q.scalar(Fraction(1, 2)), Q.scalar(Fraction(1, 2)))
 
     def test_simulation_has_the_triple(self):
-        machine = support_machine_nu(2, 3)
-        spec = StripSpec.make(2, 3, 0, 1)
-        diagram = run(
-            machine,
-            strip_configuration(spec, machine),
-            RunLimits(max_time=Q.scalar(1)),
-        )
-        x, t = central_collision(spec)
-        hits = [e for e in diagram.events if e.position == x and e.time == t]
-        assert len(hits) == 1
-        assert {m.name for m in hits[0].incoming} == {"L", "S", "R"}
+        x, t = self.first_triple(StripSpec.make(2, 3, 5, 10))
+        assert (x, t) == (Q.scalar(9), Q.scalar(6))
 
 
 class TestEmbedding:

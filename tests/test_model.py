@@ -9,7 +9,6 @@ from sigmach.model import (
     InitialConfiguration,
     MachineError,
     SignalMachine,
-    apply_affine_to_configuration,
     apply_affine_to_machine,
     classify,
     normalize_speeds,
@@ -150,14 +149,24 @@ class TestConfiguration:
 
     def test_placements_are_checked_in_order(self):
         machine = SignalMachine.build([("a", 1), ("b", 1), ("c", 0)])
-        placements = [("a", 0), ("c", 0), ("a", 0), ("b", 0), ("ghost", 1)]
+        placements = [("a", 0), ("c", 0), ("b", 0), ("ghost", 1)]
         with pytest.raises(MachineError) as err:
             InitialConfiguration.build(machine, placements)
         reason = "co-located signals with equal speed at 0: ['a', 'b', 'c']"
-        assert (err.value.reason, err.value.entry) == (reason, ("init", 3))
+        assert (err.value.reason, err.value.entry) == (reason, ("init", 2))
         with pytest.raises(MachineError) as err:
-            InitialConfiguration.build(machine, placements[:3] + placements[4:])
-        assert (err.value.reason, err.value.entry) == ("unknown meta-signal 'ghost'", ("init", 3))
+            InitialConfiguration.build(machine, placements[:2] + placements[3:])
+        assert (err.value.reason, err.value.entry) == ("unknown meta-signal 'ghost'", ("init", 2))
+
+    def test_a_signal_placed_twice_at_one_position_is_refused(self):
+        # a rule counts a signal written twice, so a placement must too
+        machine = SignalMachine.build([("a", 1), ("c", 0)])
+        for placements, names in [([("a", 0), ("a", 0)], "['a', 'a']"),
+                                  ([("a", 0), ("c", 0), ("a", Fraction(0, 3))], "['a', 'a', 'c']")]:
+            with pytest.raises(MachineError) as err:
+                InitialConfiguration.build(machine, placements)
+            reason = f"co-located signals with equal speed at 0: {names}"
+            assert (err.value.reason, err.value.entry) == (reason, ("init", len(placements) - 1))
 
 
 class TestValues:
@@ -227,10 +236,8 @@ class TestClassify:
         for _ in range(200):
             machine = random_machine(rng, rng.randint(2, 4))
             config = random_configuration(rng, machine)
-            c = classify(
-                apply_affine_to_machine(machine, amap),
-                apply_affine_to_configuration(config, amap),
-            )
+            moved = InitialConfiguration([(amap(p), sigs) for p, sigs in config.sites])
+            c = classify(apply_affine_to_machine(machine, amap), moved)
             assert not c.rational
             assert c.rational_like_machine and c.rational_like_config
 
@@ -288,23 +295,6 @@ class TestAffine:
         )
         normalized, _ = normalize_speeds(machine)
         assert [str(s) for s in normalized.distinct_speeds()] == ["-1", "0", "5/2"]
-
-    def test_config_inverse_image_scaling(self):
-        machine, _ = build_gcd_phi()
-        ctx = machine.ctx
-        config = InitialConfiguration.build(
-            machine, [("wall0", 0), ("wall_b", 1), ("wall_a", phi())]
-        )
-        doubled = AffineMap(ctx.scalar(2), ctx.zero())
-        moved = apply_affine_to_configuration(config, doubled)
-        assert list(moved.positions()) == [ctx.zero(), ctx.scalar(Fraction(1, 2)), phi() / 2]
-
-    def test_config_shift(self):
-        machine, config = build_sm4()
-        shifted = apply_affine_to_configuration(
-            config, AffineMap(Q.one(), Q.scalar(3))
-        )
-        assert [str(p) for p in shifted.positions()] == ["-4", "-2"]
 
     def test_affine_preserves_validity(self):
         rng = random.Random(5)

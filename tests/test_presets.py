@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import sigmach.engine as engine
+import sigmach.presets as presets
 from sigmach.engine import EVENT_LIMIT, QUIESCENT, RunLimits, RunState, run
 from sigmach.model import validate
 from sigmach.presets import (
@@ -94,9 +95,13 @@ class TestArithmeticResults:
         with pytest.raises(ValueError):
             geometric_result("pow", 2, 1)
 
-    def test_incommensurate_inputs_exhaust_the_budget(self):
-        with pytest.raises(RuntimeError):
-            geometric_result("gcd", phi(), 1, max_events=200, ctx=PHI_CONTEXT)
+    def test_a_run_that_does_not_halt_is_an_error(self, monkeypatch):
+        def short_run(machine, config):
+            return run(machine, config, RunLimits(max_events=2))
+
+        monkeypatch.setattr(presets, "run", short_run)
+        with pytest.raises(RuntimeError, match=r"gcd run did not halt \(reason: event_limit\)"):
+            geometric_result("gcd", 8, 3)
 
     def test_incommensurate_gcd_run_never_settles(self):
         # halting is equivalent to commensurate operands: the irrational-gap

@@ -400,6 +400,18 @@ class TestTextFormat:
         with pytest.raises(ScalarSyntaxError):
             parse_scalar("", Q)
 
+    @pytest.mark.parametrize("text", ["1 2", "1 2/3", "1/2 3", " -1 0 ", "1\t2", "1+2*sqrt(1 0)"])
+    def test_whitespace_between_digits_is_an_error(self, text):
+        with pytest.raises(ScalarSyntaxError, match=f"^malformed scalar: {re.escape(repr(text))}$"):
+            parse_scalar(text, Q)
+
+    @pytest.mark.parametrize("text, want", [
+        (" 12 ", "12"), ("1 / 2", "1/2"), ("- 3", "-3"), ("1 + 2*sqrt(5)", "1+2*sqrt(5)"),
+        ("-1/2 - 1/2 * sqrt( 5 )", "-1/2-1/2*sqrt(5)"),
+    ])
+    def test_spaces_around_signs_and_operators_are_accepted(self, text, want):
+        assert format_scalar(parse_scalar(text, Q5)) == want
+
     def test_mixed_radical_rejected(self):
         with pytest.raises(FieldError):
             parse_scalar("1+1*sqrt(2)", Q5)

@@ -130,6 +130,12 @@ class TestParseErrors:
         assert err.value.line_no == 1
         assert "division by zero" in str(err.value)
 
+    def test_speed_with_digits_split_by_a_space(self):
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file("signal a 1 2\ninit a@0\n")
+        assert err.value.line_no == 1
+        assert err.value.reason == "bad speed for 'a': malformed scalar: '1 2'"
+
     def test_unknown_signal_in_rule(self):
         with pytest.raises(MachineParseError) as err:
             parse_machine_file("signal a 1\nsignal b 0\nrule a,c -> a\n")
@@ -212,11 +218,20 @@ class TestParseErrors:
         assert err.value.reason == "co-located signals with equal speed at 0: ['a', 'b']"
 
     def test_colocated_equal_positions_written_differently(self):
-        text = "signal a 1\nsignal b 1\ninit a@1/2\ninit a@2/4\ninit b@3/6\n"
+        text = "signal a 1\nsignal b 1\ninit a@1/2\ninit b@2/4\n"
+        with pytest.raises(MachineParseError) as err:
+            parse_machine_file(text)
+        assert err.value.line_no == 4
+        assert err.value.reason == "co-located signals with equal speed at 1/2: ['a', 'b']"
+
+    def test_a_signal_placed_twice(self):
+        text = "signal a 1\nsignal b 0\ninit a@0\ninit b@0\ninit a@0\n"
         with pytest.raises(MachineParseError) as err:
             parse_machine_file(text)
         assert err.value.line_no == 5
-        assert err.value.reason == "co-located signals with equal speed at 1/2: ['a', 'b']"
+        assert err.value.reason == "co-located signals with equal speed at 0: ['a', 'a', 'b']"
+        with pytest.raises(MachineParseError, match=r"^line 2: co-located .* at 0: \['a', 'a'\]$"):
+            parse_machine_file("init a@0\ninit a@0\nsignal a 1\n")
 
 
 class TestErrorPrecedence:
