@@ -86,6 +86,11 @@ class RunLimits:
     max_time: Optional[Scalar] = None
 
     def __post_init__(self) -> None:
+        # checked once here: `run` reads the limits once, before its loop
+        if type(self.max_events) is bool or not isinstance(self.max_events, int):
+            raise TypeError(f"max_events must be an int, not {type(self.max_events).__name__}")
+        if self.max_time is not None and not isinstance(self.max_time, Scalar):
+            raise TypeError(f"max_time must be a Scalar or None, not {type(self.max_time).__name__}")
         if self.max_events < 0:
             raise ValueError("max_events must be >= 0")
         if self.max_time is not None and self.max_time < 0:
@@ -167,12 +172,18 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 # neighbours, the left one faster, and every such pair waits in a heap keyed
 # by its exact meeting time.  Nothing can come between two live neighbours,
 # so an entry is stale exactly when one of its lines has died; stale entries
-# are dropped when they reach the top.  A step pops every pair due at the
-# earliest time; pairs that share a line chain into one collision group, a
-# contiguous slice of `order`.  Only the neighbours of a fired group form new
-# pairs, so an event costs O(k log n) for k colliding signals, as in the
-# kinetic sorted list of Basch, Guibas and Hershberger ("Data structures for
-# mobile data", 1999) and the Bentley-Ottmann sweep.
+# are dropped when they reach the top.  Most steps fire one pair alone, and
+# `step` tells them apart by the two children of the heap top, heap[1] and
+# heap[2]: every entry is at most its children, so the path down to any
+# other entry due at t passes a child with t <= child <= entry, which is due
+# at t too.  When neither child holds t, `step` fires the top pair in its own
+# frame.  A step with a second entry due at t, live or stale, takes the
+# general pass, `step_groups`: it pops every pair due at t, and pairs that
+# share a line chain into one collision group, a contiguous slice of
+# `order`.  Only the neighbours of a fired group form new pairs, so an event
+# costs O(k log n) for k colliding signals, as in the kinetic sorted list of
+# Basch, Guibas and Hershberger ("Data structures for mobile data", 1999)
+# and the Bentley-Ottmann sweep.
 # A collision computes its meeting point c + v*t, then c = p + (-v)*t only
 # for outgoing speeds that no incoming line had, and for each new neighbour
 # pair (c_right - c_left) * 1/(v_left - v_right); the negated speeds and the
@@ -369,10 +380,6 @@ class _Runner:
             _, a, b = heapq.heappop(heap)
             if segments[a].death_event is None and segments[b].death_event is None:
                 lefts.append(order.index(a))
-        if len(lefts) == 1:  # the common case: one pair, one group
-            i = lefts[0]
-            seg = segments[order[i]]
-            return [(i, i + 2, affine(seg.intercept, seg.speed, t, den_lcm))]
         spans: list[list[int]] = []
         for i in sorted(lefts):
             if spans and spans[-1][1] == i + 1:
@@ -384,7 +391,55 @@ class _Runner:
 
     def step(self, t: Scalar) -> None:
         """Fire every collision at t = next_time().  Raises MissingRuleError
-        before any line, segment or event changes."""
+        before any line, segment or event changes.  A pair due alone fires
+        here (see above); other steps go to `step_groups`."""
+        heap = self.heap
+        n = len(heap)
+        if n > 1 and heap[1][0] == t or n > 2 and heap[2][0] == t:
+            self.step_groups(t)
+            return
+        # the top pair is the only entry due at t: it meets alone
+        _, a, b = heapq.heappop(heap)
+        segments, den_lcm = self.segments, self.den_lcm
+        left, right = segments[a], segments[b]
+        p = affine(left.intercept, left.speed, t, den_lcm)
+        incoming = frozenset((left.signal, right.signal))
+        outgoing = self.machine.rules.get(incoming)
+        if outgoing is None:
+            raise MissingRuleError(p, t, incoming)
+        self.time = t
+        idx = self.event_count
+        self.events.append(Event(idx, t, p, incoming, outgoing))
+        self.event_count = idx + 1
+        left.death_time = right.death_time = t
+        left.death_event = right.death_event = idx
+        speeds, negated = self.speeds, self.negated
+        lr, rr, first = left.rank, right.rank, len(segments)
+        for r, _, ms in self.entries[outgoing]:
+            if r == lr:
+                c = left.intercept
+            elif r == rr:
+                c = right.intercept
+            else:
+                c = affine(p, negated[r], t, den_lcm)
+            segments.append(Segment(ms, speeds[r], r, c, p, t, idx))
+        # the new lines take the pair's place, order[i:j]; a pair may start
+        # at each edge, left first, and at one when no line went out
+        order, closing = self.order, self.closing
+        i = order.index(a)
+        j = i + len(segments) - first
+        order[i:i + 2] = range(first, len(segments))
+        for e in (i, j) if j > i else (i,):
+            if 0 < e < len(order):
+                u, w = order[e - 1], order[e]
+                lo, hi = segments[u], segments[w]
+                if lo.rank > hi.rank:
+                    k = closing[lo.rank][hi.rank]
+                    heapq.heappush(heap, (scaled_difference(hi.intercept, lo.intercept, k, den_lcm), u, w))
+
+    def step_groups(self, t: Scalar) -> None:
+        """`step` for a time at which a second heap entry, live or stale, is
+        due: every group at t, from `pop_groups`."""
         order, segments, rules = self.order, self.segments, self.machine.rules
         fired = []
         for start, end, p in self.pop_groups(t):
@@ -462,25 +517,28 @@ def run(
     halt_detail: Optional[MissingRuleError] = None
     certificate: object | None = None
 
+    max_events, max_time = limits.max_events, limits.max_time
+    next_time, step, record = runner.next_time, runner.step, runner.record
+    append = snapshots.append
     while True:
-        if runner.event_count >= limits.max_events:
+        if runner.event_count >= max_events:
             halt_reason = EVENT_LIMIT
             break
-        t = runner.next_time()
+        t = next_time()
         if t is None:
             halt_reason = QUIESCENT
             break
-        if limits.max_time is not None and t > limits.max_time:
+        if max_time is not None and t > max_time:
             halt_reason = TIME_LIMIT
             break
         try:
-            runner.step(t)
+            step(t)
         except MissingRuleError as err:
             halt_reason = MISSING_RULE
             # without its traceback, which holds this frame and so the error
             halt_detail = err.with_traceback(None)
             break
-        snapshots.append(runner.record())
+        append(record())
         if certifier is not None:
             certificate = certifier(snapshots)
             if certificate is not None:

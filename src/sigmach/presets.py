@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .engine import QUIESCENT, RunState, SpaceTimeDiagram, run
+from .engine import EVENT_LIMIT, QUIESCENT, RunState, SpaceTimeDiagram, run
 from .model import InitialConfiguration, MachineError, SignalMachine
 from .scalars import FieldContext, Scalar, ScalarLike, as_scalar
 
@@ -276,12 +276,18 @@ def read_arithmetic_result(kind: str, state: RunState, machine: SignalMachine) -
 
 def geometric_result(kind: str, a: ScalarLike, b: ScalarLike) -> Scalar:
     """Build, run, and read one arithmetic machine: kind is "sub", "mod" or
-    "gcd".  Errors loudly when the run exhausts its event budget, which for
-    commensurate inputs would mean a transcription bug."""
+    "gcd".  Errors loudly when the run does not reach quiescence: on the
+    default event budget, which large quotients use up, the message names
+    the budget; any other halt would mean a transcription bug."""
     if kind not in _EUCLID:
         raise ValueError(f"unknown arithmetic machine {kind!r}")
     machine, config = _build_euclid(kind, a, b, None)
     diagram = run(machine, config)
+    if diagram.halt_reason == EVENT_LIMIT:
+        raise RuntimeError(
+            f"{kind} run did not halt (reason: {EVENT_LIMIT}): it stopped at its "
+            f"budget of {diagram.limits.max_events} events before quiescence"
+        )
     if diagram.halt_reason != QUIESCENT:
         raise RuntimeError(
             f"{kind} run did not halt (reason: {diagram.halt_reason}); "

@@ -169,6 +169,21 @@ class TestRun:
         assert diagram.covers(Q.scalar(Fraction(1, 2)))
         assert not diagram.covers(-Q.one())
 
+    def test_a_missing_rule_changes_no_line(self):
+        """r passes s at t = 1 under a rule, then meets l at t = 2 under
+        none: the halt leaves the lines of that meeting alive."""
+        machine = SignalMachine.build(
+            [("r", 1), ("s", 0), ("l", -1)], [(("r", "s"), ("r", "s"))])
+        config = InitialConfiguration.build(machine, [("r", 0), ("s", 1), ("l", 4)])
+        diagram = run(machine, config)
+        assert diagram.halt_reason == MISSING_RULE
+        assert diagram.halt_detail.time == Q.scalar(2)
+        assert [e.time for e in diagram.events] == [Q.one()]
+        alive = sorted(seg.signal.name for seg in diagram.segments if seg.death_event is None)
+        assert alive == ["l", "r", "s"]
+        assert all(seg.death_time is None for seg in diagram.segments if seg.death_event is None)
+        assert brute_force_run(machine, config, RunLimits())[:2] == (diagram.events, MISSING_RULE)
+
     def test_missing_rule_halt_leaves_no_reference_cycles(self):
         machine = SignalMachine.build([("r", 1), ("s", 0)])
         config = InitialConfiguration.build(machine, [("r", 0), ("s", 1)])
@@ -198,6 +213,17 @@ class TestRun:
             RunLimits(max_events=-1)
         with pytest.raises(ValueError):
             RunLimits(max_time=Q.scalar(-1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_events", 2.5), ("max_events", True), ("max_events", "3"),
+        ("max_time", 0.5), ("max_time", Fraction(3, 2)), ("max_time", 1),
+    ])
+    def test_limits_of_the_wrong_type_are_refused(self, field, value):
+        """`run` reads its limits once, before its loop, so they are checked
+        when made: a float time would fail mid-run, a float budget would
+        round up, and a `Fraction` time would come back as the horizon."""
+        with pytest.raises(TypeError, match=field):
+            RunLimits(**{field: value})
 
     def test_time_budget_drifts_to_the_boundary(self):
         machine, config = build_sm4()

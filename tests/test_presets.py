@@ -6,7 +6,7 @@ import pytest
 import sigmach.engine as engine
 import sigmach.presets as presets
 from sigmach.engine import EVENT_LIMIT, QUIESCENT, RunLimits, RunState, run
-from sigmach.model import validate
+from sigmach.model import InitialConfiguration, SignalMachine, validate
 from sigmach.presets import (
     PHI_CONTEXT,
     ReadoutError,
@@ -102,6 +102,23 @@ class TestArithmeticResults:
         monkeypatch.setattr(presets, "run", short_run)
         with pytest.raises(RuntimeError, match=r"gcd run did not halt \(reason: event_limit\)"):
             geometric_result("gcd", 8, 3)
+
+    def test_a_run_that_uses_up_the_default_budget_names_it(self):
+        """Rational operands, so the run would halt: quotient 3400 needs more
+        than the 10 000 events of the default budget."""
+        with pytest.raises(RuntimeError, match=r"mod run did not halt \(reason: event_limit\): "
+                           r"it stopped at its budget of 10000 events before quiescence$"):
+            geometric_result("mod", 3400, 1)
+
+    def test_any_other_halt_is_a_transcription_bug(self, monkeypatch):
+        def no_rule_run(machine, config):
+            broken = SignalMachine.build([("r", 1), ("s", 0)])
+            return run(broken, InitialConfiguration.build(broken, [("r", 0), ("s", 1)]))
+
+        monkeypatch.setattr(presets, "run", no_rule_run)
+        with pytest.raises(RuntimeError, match=r"sub run did not halt \(reason: missing_rule\); "
+                           r"commensurate inputs must reach quiescence$"):
+            geometric_result("sub", 11, 3)
 
     def test_incommensurate_gcd_run_never_settles(self):
         # halting is equivalent to commensurate operands: the irrational-gap
