@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Hashable, Optional
 
 from .engine import (
@@ -189,7 +189,6 @@ _Span = tuple[Scalar, Optional[Scalar]]
 # not, since its two runs may come from different machines.
 _SIGNAL_LINE = attrgetter("signal", "speed", "intercept")
 _LINE = attrgetter("speed", "intercept")
-_POSITION = itemgetter(0)  # a site's position
 
 
 def _before(a: Optional[Scalar], b: Optional[Scalar]) -> bool:
@@ -203,21 +202,47 @@ def _lines(
     """The spans [birth, min(death, cap)] of the segments born by cap,
     grouped by key and merged per group into sorted, disjoint closed
     intervals.  Segments are recorded in birth order, so each group's spans
-    arrive sorted by their starts."""
+    arrive sorted by their starts.
+
+    Most merges are decided by identity: a step gives its time object to
+    every line it ends and every line it opens, so a segment that continues
+    its line starts at the very object that ends the line's last span, and
+    extends it with no comparison.  A line's segments never overlap, since
+    two signals of one speed never share a point, so any other start
+    (another object, or a span cut at cap) is compared.  When the run's
+    last step is at or before cap, no segment is born after cap and only
+    the live ones are cut, so the per-segment cap test is skipped."""
     lines: dict[Hashable, list[_Span]] = {}
+    setdefault = lines.setdefault
+    if cap is None or diagram.snapshots.time(-1) <= cap:
+        for seg in diagram.segments:
+            lo, hi = seg.birth_time, seg.death_time
+            if hi is None:
+                hi = cap
+            merged = setdefault(key(seg), [])
+            if merged and merged[-1][1] is lo:
+                merged[-1] = (merged[-1][0], hi)
+            else:
+                _merge(merged, lo, hi)
+        return lines
     for seg in diagram.segments:
         lo, hi = seg.birth_time, seg.death_time
         if _before(cap, hi):
             if cap < lo:
                 break
             hi = cap
-        merged = lines.setdefault(key(seg), [])
-        if merged and not _before(merged[-1][1], lo):
-            if _before(merged[-1][1], hi):
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
+        _merge(setdefault(key(seg), []), lo, hi)
     return lines
+
+
+def _merge(merged: list[_Span], lo: Scalar, hi: Optional[Scalar]) -> None:
+    """Add the span [lo, hi] to a line's sorted, disjoint spans, none of
+    which starts after lo."""
+    if merged and not _before(merged[-1][1], lo):
+        if _before(merged[-1][1], hi):
+            merged[-1] = (merged[-1][0], hi)
+    else:
+        merged.append((lo, hi))
 
 
 # -- periodicity -----------------------------------------------------------------
@@ -284,13 +309,15 @@ def detect_periodicity(
     sig_at: dict[Scalar, set] = {}
     candidates = {zero}
     pieces: dict[tuple, list[_Span]] = {}
-    for e in diagram.events:
-        if e.time <= horizon:
-            candidates.add(e.time)
-            if lo <= e.position <= hi:
-                sig_at.setdefault(e.time, set()).add((e.position, e.incoming, e.outgoing))
-                rule_line = ((e.incoming, e.outgoing), zero, e.position)
-                pieces.setdefault(rule_line, []).append((e.time, e.time))
+    events = diagram.events
+    if horizon < diagram.snapshots.time(-1):
+        events = [e for e in events if e.time <= horizon]
+    for e in events:
+        candidates.add(e.time)
+        if lo <= e.position <= hi:
+            sig_at.setdefault(e.time, set()).add((e.position, e.incoming, e.outgoing))
+            rule_line = ((e.incoming, e.outgoing), zero, e.position)
+            pieces.setdefault(rule_line, []).append((e.time, e.time))
     we_times = sorted(sig_at)
 
     speeds = machine.distinct_speeds()
@@ -299,6 +326,8 @@ def detect_periodicity(
     )
     closed = zero if closable else None  # closed from this time on; None: never
     last_move = zero  # latest time a mover is in the window
+    # a line at speed v crosses x at (x - c)*(1/v)
+    inverse = {v: 1 / v for v in speeds if v.sign()}
     for (ms, v, c), union in _lines(diagram, horizon, _SIGNAL_LINE).items():
         if v.sign() == 0:
             if lo <= c <= hi:
@@ -306,7 +335,8 @@ def detect_periodicity(
             elif closable and (speeds[0] if c < lo else speeds[-1]).sign():
                 closed = max(closed, union[-1][1])
             continue
-        enter, leave = (lo - c) / v, (hi - c) / v
+        k = inverse[v]
+        enter, leave = scaled_difference(lo, c, k), scaled_difference(hi, c, k)
         if v.sign() < 0:
             enter, leave = leave, enter
         if closable:
@@ -322,9 +352,7 @@ def detect_periodicity(
     def windowed(t: Scalar) -> tuple:
         """The window's sites at t."""
         if t not in states:
-            sites = diagram.snapshots.at(t).sites
-            i = bisect_left(sites, lo, key=_POSITION)
-            states[t] = sites[i : bisect_right(sites, hi, i, key=_POSITION)]
+            states[t] = diagram.snapshots.window(t, lo, hi)
         return states[t]
 
     for t_start in sorted(candidates):
@@ -334,9 +362,10 @@ def detect_periodicity(
                 return PeriodicityCertificate((lo, hi), t_start, period)
             continue
         first = we_times[bisect_left(we_times, t_start)]
+        longest = (horizon - t_start) / 3  # the longest period checked from t_start
         for partner in we_times[bisect_right(we_times, first) :]:
             period = partner - first
-            if 3 * period > horizon - t_start:
+            if period > longest:
                 break
             if sig_at[first] != sig_at[partner]:
                 continue

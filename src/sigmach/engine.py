@@ -24,6 +24,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .model import InitialConfiguration, MetaSignal, SignalMachine, Site
@@ -288,18 +289,50 @@ class _Snapshots:
     def event_count(self, i: int) -> int:
         return self._records[i][1]
 
+    def _last_step(self, t: Scalar) -> int:
+        """The index of the last record at or before t."""
+        i = bisect.bisect_right(self._records, t, key=itemgetter(0)) - 1
+        if i < 0:
+            raise ValueError(f"no recorded state at or before t={t}")
+        return i
+
     def at(self, t: Scalar) -> RunState:
         """The state at time t, from the run's start up to the next step
         after it: the recorded state at a step's own time, else the last
         step's lines moved to t, where none is still at its birth point.
         Raises ValueError for a t before the first record."""
-        i = bisect.bisect_right(self._records, t, key=lambda r: r[0]) - 1
-        if i < 0:
-            raise ValueError(f"no recorded state at or before t={t}")
+        i = self._last_step(t)
         time, count, ids = self._records[i]
         if time == t:
             return self[i]
         return self._build((t, count, ids))
+
+    def window(self, t: Scalar, lo: Scalar, hi: Scalar) -> tuple[Site, ...]:
+        """The sites of `at(t)` with lo <= position <= hi, built alone.  The
+        lines are in spatial order at t, and the lines of one site are
+        neighbours at one point, so two bisections on positions, each
+        computed when probed and at most once, find the window's lines
+        without moving the others; only their sites are built."""
+        time, _, ids = self._records[self._last_step(t)]
+        if time != t:
+            time = t  # between steps: no line is still at its birth point
+        segments, speeds = self._segments, self._speeds
+        moves = [v * time for v in speeds]
+        known: dict[int, Scalar] = {}
+
+        def position(i: int) -> Scalar:
+            p = known.get(i)
+            if p is None:
+                seg = segments[i]
+                p = seg.birth_position if seg.birth_time is time else seg.intercept + moves[seg.rank]
+                known[i] = p
+            return p
+
+        a = bisect.bisect_left(ids, lo, key=position)
+        b = bisect.bisect_right(ids, hi, a, key=position)
+        return tuple(
+            (position(i), sigs) for i, sigs in _sites((time, 0, ids[a:b]), segments, self._solo)
+        )
 
 
 class _Runner:
@@ -314,7 +347,7 @@ class _Runner:
         # per outgoing or initial signal set: (speed rank, index, signal) of
         # its members, slowest first, which orders co-located signals
         rank = {ms: speeds.index(machine.speed_of(ms)) for ms in machine.signals}
-        sets = [*machine.rules.values(), *(sigs for _, sigs in sites)]
+        sets = dict.fromkeys([*machine.rules.values(), *(sigs for _, sigs in sites)])
         self.entries = {sigs: sorted((rank[m], m.index, m) for m in sigs) for sigs in sets}
         self.negated = [-v for v in speeds]
         # closing[i][j] = 1/(speeds[i] - speeds[j]) for j < i
@@ -328,8 +361,11 @@ class _Runner:
         self.events: list[Event] = []
         self.segments: list[Segment] = []
         self.order: list[int] = []
+        # at t = 0 each line's intercept c = p - v*0 is its initial point p
+        zero = not time.sign()
         for p, sigs in sites:
-            self.order += self.open_site(p, sigs, None, {})
+            carried = {r: p for r, _, _ in self.entries[sigs]} if zero else {}
+            self.order += self.open_site(p, sigs, None, carried)
         self.heap: list[tuple[Scalar, int, int]] = []
         self.push_pairs(range(len(self.order) - 1))
 

@@ -22,7 +22,7 @@ from .analysis import (
     detect_periodicity,
     diagram_included,
 )
-from .engine import RunLimits, SpaceTimeDiagram, run
+from .engine import EVENT_LIMIT, RunLimits, SpaceTimeDiagram, run
 from .model import (
     InitialConfiguration,
     MachineError,
@@ -40,6 +40,7 @@ from .scalars import (
 )
 
 LEFT, STILL, RIGHT = "L", "S", "R"
+EVENT_BUDGET = 100_000  # events each run of `verify_mesh_inclusion` may take
 
 
 def _whole(name: str, x) -> int:
@@ -193,7 +194,9 @@ def verify_mesh_inclusion(
     """Normalize a 3-speed rational-like machine, project its configuration
     onto the 3-signal support machine, embed that into a mesh, run both, and
     check that the support run is included in the mesh run and no mesh event
-    leaves the walls, and certify the mesh periodic (see `MeshReport`)."""
+    leaves the walls, and certify the mesh periodic (see `MeshReport`).
+    Each run may take `EVENT_BUDGET` events; a run that stops there before
+    the horizon raises ValueError."""
     normalized, _ = normalize_speeds(machine)
     speeds = normalized.distinct_speeds()
     if len(speeds) != 3:
@@ -214,9 +217,9 @@ def verify_mesh_inclusion(
     if horizon is None:
         horizon = spec.strip.horizon
 
-    limits = RunLimits(max_events=100_000, max_time=horizon)
-    supp_run = run(smnu, supp_config, limits)
-    mesh_run = run(smnu, mesh_configuration(spec, smnu), limits)
+    limits = RunLimits(max_events=EVENT_BUDGET, max_time=horizon)
+    supp_run = _within_budget("support", run(smnu, supp_config, limits), horizon)
+    mesh_run = _within_budget("mesh", run(smnu, mesh_configuration(spec, smnu), limits), horizon)
 
     lo, hi = spec.span
     return MeshReport(
@@ -227,3 +230,13 @@ def verify_mesh_inclusion(
         events_inside=all(lo <= e.position <= hi for e in mesh_run.events),
         periodicity=detect_periodicity(mesh_run, spec.span, horizon),
     )
+
+
+def _within_budget(name: str, diagram: SpaceTimeDiagram, horizon: Scalar) -> SpaceTimeDiagram:
+    """The diagram, unless its run spent the event budget short of the horizon."""
+    if diagram.halt_reason == EVENT_LIMIT and not diagram.covers(horizon):
+        raise ValueError(
+            f"the {name} run stopped at its budget of {diagram.limits.max_events} events "
+            f"at t={diagram.horizon}, before the horizon {horizon}"
+        )
+    return diagram

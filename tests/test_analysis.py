@@ -300,13 +300,18 @@ class TestPeriodicity:
         def refuse(*_):
             raise AssertionError("configuration_at called")
 
-        reads, real = [], engine._Snapshots.at
+        reads, real, real_at = [], engine._Snapshots.window, engine._Snapshots.at
 
-        def at(snaps, t):
+        def window(snaps, t, lo, hi):
             reads.append(t)
-            return real(snaps, t)
+            return real(snaps, t, lo, hi)
+
+        def at(snaps, t):  # a whole state read counts as a read too
+            reads.append(t)
+            return real_at(snaps, t)
 
         monkeypatch.setattr(analysis, "configuration_at", refuse)
+        monkeypatch.setattr(engine._Snapshots, "window", window)
         monkeypatch.setattr(engine._Snapshots, "at", at)
         cert = detect_periodicity(strip_diagram, (Q.zero(), Q.one()), Q.scalar(3))
         assert cert.serialize() == "PERIODIC window=[0,1] transient=1/2 period=1/2"
@@ -314,21 +319,26 @@ class TestPeriodicity:
 
     @staticmethod
     def _record_decisions(monkeypatch):
-        """The times whose states are read, and the transient T of every
-        candidate sent to the pieces (the first call of each pair starts at
-        T)."""
+        """The times whose states are read, windowed or whole, and the
+        transient T of every candidate sent to the pieces (the first call of
+        each pair starts at T)."""
         reads, starts = [], []
-        pieces, at = analysis._shifted_pieces, engine._Snapshots.at
+        pieces, window, at = analysis._shifted_pieces, engine._Snapshots.window, engine._Snapshots.at
 
         def recorded_pieces(*args):
             starts.append(args[1])
             return pieces(*args)
+
+        def recorded_window(snaps, t, lo, hi):
+            reads.append(t)
+            return window(snaps, t, lo, hi)
 
         def recorded_at(snaps, t):
             reads.append(t)
             return at(snaps, t)
 
         monkeypatch.setattr(analysis, "_shifted_pieces", recorded_pieces)
+        monkeypatch.setattr(engine._Snapshots, "window", recorded_window)
         monkeypatch.setattr(engine._Snapshots, "at", recorded_at)
         return reads, starts
 
@@ -408,6 +418,17 @@ class TestPeriodicity:
         assert starts[::2] == [Q.zero()]
         assert reads and min(reads) == Q.scalar(2)
 
+    def test_collisions_past_the_horizon_are_not_read(self):
+        # the shuttle meets the wall at 2 at t = 1, 3, 5, ...; up to the
+        # horizon 2 the window [2, 2] sees only the first meeting, so it is
+        # quiescent from t = 1 on, though the run goes on to t = 12
+        diagram = _shuttle_run(_shuttle_machine())
+        point = (Q.scalar(2), Q.scalar(2))
+        cert = detect_periodicity(diagram, point, Q.scalar(2))
+        assert cert.serialize() == "PERIODIC window=[2,2] transient=1 period=1/3"
+        cert = detect_periodicity(diagram, point, Q.scalar(12))
+        assert cert.serialize() == "PERIODIC window=[2,2] transient=0 period=2"
+
     def test_a_reversed_window_is_rejected(self, strip_diagram):
         with pytest.raises(ValueError, match="reversed"):
             detect_periodicity(strip_diagram, (Q.one(), Q.zero()), Q.scalar(3))
@@ -436,6 +457,85 @@ class TestPeriodicity:
         ) is None
         assert detect_contraction(strip_diagram) is None
         assert detect_periodicity(strip_diagram, (Q.zero(), Q.one()), Q.scalar(3)) is not None
+
+
+def _reference_lines(diagram, cap, key):
+    """The merge of `_lines` by comparisons alone, each segment's span cut
+    at cap and each start compared with its line's last end."""
+
+    def before(a, b):  # a < b, None standing for +infinity
+        return a is not None and (b is None or a < b)
+
+    lines = {}
+    for seg in diagram.segments:
+        lo, hi = seg.birth_time, seg.death_time
+        if before(cap, hi):
+            if cap < lo:
+                break
+            hi = cap
+        merged = lines.setdefault(key(seg), [])
+        if merged and not before(merged[-1][1], lo):
+            if before(merged[-1][1], hi):
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return lines
+
+
+def _fresh(t):
+    """An equal scalar that is another object."""
+    return None if t is None else t + 0
+
+
+def _line_cases():
+    """(id, diagram, caps): runs ended by each halt, with caps below, at and
+    above where each ends, and a strip whose segment times are equal but no
+    longer the same objects."""
+    strip_machine = support_machine_nu(2, 3)
+    strip = strip_configuration(StripSpec.make(2, 3, 0, 1), strip_machine)
+    three = Q.scalar(3)
+    timed = run(strip_machine, strip, RunLimits(max_time=three))
+    caps = [Q.scalar(x) for x in (Fraction(3, 5), 2, 3, 4)] + [three, None]
+    counted = run(strip_machine, strip, RunLimits(max_events=40))
+    quiet = run(*build_gcd(8, 3))
+    missing = SignalMachine.build([("r", 1), ("l", -1), ("w", 0)], [(("r", "w"), ("l", "w"))])
+    stuck = run(missing, InitialConfiguration.build(missing, [("r", -4), ("r", 0), ("w", 2)]))
+    assert (timed.halt_reason, counted.halt_reason, quiet.halt_reason, stuck.halt_reason) == (
+        "time_limit", "event_limit", "quiescent", MISSING_RULE)
+    unshared = replace(timed, segments=[
+        replace(seg, birth_time=_fresh(seg.birth_time), death_time=_fresh(seg.death_time))
+        for seg in timed.segments
+    ])
+    end = counted.snapshots.time(-1)
+    return [
+        ("time_limit", timed, caps),
+        ("event_limit", counted, [end / 2, end, _fresh(end), end + 1, None]),
+        ("quiescent", quiet, [None, Q.scalar(2), quiet.snapshots.time(-1) + 1]),
+        ("missing_rule", stuck, [Q.one(), Q.scalar(2), Q.scalar(4), None]),
+        ("unshared_times", unshared, caps),
+    ]
+
+
+LINE_CASES = _line_cases()
+
+
+class TestLines:
+    @pytest.mark.parametrize("name, diagram, caps", LINE_CASES, ids=[c[0] for c in LINE_CASES])
+    @pytest.mark.parametrize("key", [analysis._SIGNAL_LINE, analysis._LINE], ids=["signal_line", "line"])
+    def test_the_merge_agrees_with_comparisons_alone(self, name, diagram, caps, key):
+        for cap in caps:
+            got = analysis._lines(diagram, cap, key)
+            assert list(got.items()) == list(_reference_lines(diagram, cap, key).items()), (name, cap)
+
+    def test_unshared_times_still_merge(self):
+        # no segment of this copy starts at the object that ends its line's
+        # last span, so every merge is decided by comparison
+        name, diagram, _ = LINE_CASES[-1]
+        assert name == "unshared_times"
+        ends = {id(seg.death_time) for seg in diagram.segments}
+        assert not any(id(seg.birth_time) in ends for seg in diagram.segments)
+        merged = analysis._lines(diagram, Q.scalar(3), analysis._SIGNAL_LINE)
+        assert sum(map(len, merged.values())) < len(diagram.segments)
 
 
 class TestDiagramInclusion:

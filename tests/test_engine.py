@@ -524,11 +524,65 @@ class TestSnapshots:
             mid = (state.time + later.time) / 2
             assert configuration_at(diagram, mid) == drifted(machine, state, mid)
 
+    @pytest.mark.parametrize("machine, config, limits", SNAPSHOT_SYSTEMS)
+    def test_a_window_is_the_slice_of_its_state(self, machine, config, limits):
+        # at each step and between steps, for windows that end on a site,
+        # between sites and beyond them all, and for an empty window
+        snapshots = run(machine, config, limits).snapshots
+        states = brute_force_run(machine, config, limits)[2]
+        for state, later in zip(states, states[1:] + [None]):
+            moved = [state]
+            if later is not None:
+                mid = (state.time + later.time) / 2
+                moved.append(drifted(machine, state, mid))
+            for s in moved:
+                xs = [p for p, _ in s.sites]
+                ends = sorted({*xs, xs[0] - 1, xs[-1] + 1, *((a + b) / 2 for a, b in zip(xs, xs[1:]))})
+                ends = ends[:: len(ends) // 6 + 1] + ends[-1:]
+                windows = [(a, b) for a in ends for b in ends if a <= b]
+                windows.append((xs[-1] + 1, xs[-1] + 2))
+                for lo, hi in windows:
+                    want = tuple((p, sigs) for p, sigs in s.sites if lo <= p <= hi)
+                    assert snapshots.window(s.time, lo, hi) == want, (s.time, lo, hi)
+
+    def test_a_windowed_read_moves_the_window_and_two_bisections(self, monkeypatch):
+        # the (1, 1) strip run long: its window [0, 1] keeps a few lines
+        # while hundreds of escaped rays stay live on either side
+        from sigmach.mesh import StripSpec, strip_configuration, support_machine_nu
+
+        machine = support_machine_nu(1, 1)
+        config = strip_configuration(StripSpec.make(1, 1, 0, 1), machine)
+        snapshots = run(machine, config, RunLimits(max_time=Q.scalar(400))).snapshots
+        lo, hi = Q.zero(), Q.one()
+        times = [snapshots.time(i) for i in range(0, len(snapshots), 7)]
+        times += [t + Fraction(1, 7) for t in times]
+        computed, real = [0], Scalar.__add__
+
+        def add(x, y):  # a moved line's position is intercept + v*t
+            computed[0] += 1
+            return real(x, y)
+
+        widest = 0
+        for t in times:
+            state = snapshots.at(t)
+            live = sum(len(sigs) for _, sigs in state.sites)
+            inside = sum(len(sigs) for p, sigs in state.sites if lo <= p <= hi)
+            widest = max(widest, live)
+            computed[0] = 0
+            monkeypatch.setattr(Scalar, "__add__", add)
+            got = snapshots.window(t, lo, hi)
+            monkeypatch.undo()
+            assert got == tuple(site for site in state.sites if lo <= site[0] <= hi)
+            assert computed[0] <= inside + 2 * math.ceil(math.log2(live)), (t, live, inside)
+        assert widest > 200
+
     def test_at_refuses_a_time_before_the_first_record(self):
         snapshots = run(*build_sm4(), RunLimits(max_events=6)).snapshots
         assert snapshots.at(Q.zero()) == snapshots[0]
         with pytest.raises(ValueError, match="no recorded state"):
             snapshots.at(Q.scalar(-1))
+        with pytest.raises(ValueError, match="no recorded state"):
+            snapshots.window(Q.scalar(-1), Q.zero(), Q.one())
 
     def test_a_run_leaves_no_reference_cycles(self):
         systems = [(*build_sm4(), RunLimits(max_events=200)), (*build_gcd(100, 3), RunLimits())]

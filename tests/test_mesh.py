@@ -189,6 +189,36 @@ class TestEmbedding:
                 assert 0 <= int(ratio.a) <= spec.k
 
 
+# (transient, period, support in mesh, mesh in support) of the 24 seeded
+# desk-scale cases drawn from random.Random(20260810)
+LEAST_CERTIFICATES = [
+    ("1/4", "1/2", True, False),
+    ("3/8", "1/2", True, False),
+    ("1/3", "1/2", True, False),
+    ("2/3", "1", True, False),
+    ("1/4", "1/2", True, False),
+    ("1/3", "1/2", True, False),
+    ("4", "5", True, False),
+    ("4", "4", True, False),
+    ("3/8", "1/2", True, False),
+    ("1/6", "1/6", True, False),
+    ("1/4", "1/2", True, False),
+    ("1/10", "1/8", True, False),
+    ("1/2", "1/2", True, False),
+    ("1/4", "1/2", True, False),
+    ("1", "7/6", True, False),
+    ("4/5", "1", True, False),
+    ("5/4", "5/3", True, False),
+    ("1/2", "5/8", True, False),
+    ("1/3", "1/2", True, False),
+    ("9/14", "1/2", True, False),
+    ("3/2", "3", True, False),
+    ("13/12", "13/10", True, False),
+    ("1/4", "1/2", True, False),
+    ("1/4", "1/2", True, False),
+]
+
+
 class TestMeshVerification:
     def test_gcd_8_3_horizon_30(self):
         machine, config = build_gcd(8, 3)
@@ -211,6 +241,25 @@ class TestMeshVerification:
         assert verify_mesh_inclusion(*build_gcd(8, 3)).ok
         assert len(hashed) > 100
         assert len({id(s) for s in hashed}) == len(hashed)
+
+    def test_a_run_short_of_the_horizon_names_its_budget(self, monkeypatch):
+        # gcd(8, 3) projects onto a support run with fewer events than its
+        # mesh run, so one budget stops each run in turn
+        report = verify_mesh_inclusion(*build_gcd(8, 3))
+        horizon = report.spec.strip.horizon
+        support, meshed = len(report.support_diagram.events), len(report.mesh_diagram.events)
+        assert support + 1 < meshed
+        for name, budget in (("support", support // 2), ("mesh", support + 1)):
+            monkeypatch.setattr(mesh, "EVENT_BUDGET", budget)
+            with pytest.raises(ValueError, match=(
+                rf"^the {name} run stopped at its budget of {budget} events at t=\S+, "
+                rf"before the horizon {re.escape(str(horizon))}$"
+            )):
+                verify_mesh_inclusion(*build_gcd(8, 3))
+        # a budget the runs do not reach changes nothing
+        monkeypatch.setattr(mesh, "EVENT_BUDGET", meshed + 1)
+        again = verify_mesh_inclusion(*build_gcd(8, 3))
+        assert again.periodicity == report.periodicity and again.included == report.included
 
     def test_gcd_phi_reports_embedding_error(self):
         machine, _ = build_gcd(phi(), 1, ctx=PHI_CONTEXT)
@@ -286,18 +335,38 @@ class TestMeshVerification:
                 verdicts.add(expected)
         assert verdicts == {True, False}
 
+    def test_the_certificates_are_the_least_ones(self):
+        # the oracle test above shows each certificate holds, not that it is
+        # the least: these are the exact search's (transient, period), and
+        # the inclusion verdicts support-in-mesh and mesh-in-support
+        rng = random.Random(20260810)
+        got = []
+        for _ in LEAST_CERTIFICATES:
+            report = verify_mesh_inclusion(*_desk_scale_mesh_case(rng))
+            cert = report.periodicity
+            got.append((
+                str(cert.transient), str(cert.period), report.included,
+                diagram_included(report.mesh_diagram, report.support_diagram),
+            ))
+        assert got == LEAST_CERTIFICATES
+
     def test_every_mesh_window_is_decided_by_states(self, monkeypatch):
         # the mesh span is closed: its walls shed only -1 signals to the left
         # and p/q signals to the right, so no candidate falls back to the
-        # shifted pieces, and each candidate time's state is read once
+        # shifted pieces, and each candidate time's window is read once
         reads, fallbacks = [], []
-        real_at, real_pieces, real_detect = (
+        real_window, real_at, real_pieces, real_detect = (
+            engine._Snapshots.window,
             engine._Snapshots.at,
             analysis._shifted_pieces,
             mesh.detect_periodicity,
         )
 
-        def at(snaps, t):
+        def window(snaps, t, lo, hi):
+            reads.append(t)
+            return real_window(snaps, t, lo, hi)
+
+        def at(snaps, t):  # a whole state read counts as a read too
             reads.append(t)
             return real_at(snaps, t)
 
@@ -311,6 +380,7 @@ class TestMeshVerification:
             assert reads and len(set(reads)) == len(reads)
             return cert
 
+        monkeypatch.setattr(engine._Snapshots, "window", window)
         monkeypatch.setattr(engine._Snapshots, "at", at)
         monkeypatch.setattr(analysis, "_shifted_pieces", shifted_pieces)
         monkeypatch.setattr(mesh, "detect_periodicity", detect_periodicity)

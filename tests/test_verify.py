@@ -4,6 +4,7 @@ text, not a pass."""
 
 import dataclasses
 import re
+import signal
 
 import pytest
 
@@ -134,3 +135,11 @@ def test_a_zero_delay_fails_scheduler(monkeypatch):
     # the next delay is positive or None, never 0
     monkeypatch.setattr(verify, "next_collision_delta", lambda machine, state: (machine.ctx.zero(), []))
     assert_each_fails(verify.suite_scheduler(seed=0, count=6), r"\(Scalar\(0\), \[\]\) != \(.+\)")
+
+
+def test_a_test_runs_under_the_hang_guard():
+    # tests/conftest.py arms a 120 s alarm around every test, so a fault
+    # that keeps a suite running fails that test by name instead of hanging
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= 120
+    assert signal.getsignal(signal.SIGALRM) not in (signal.SIG_DFL, signal.SIG_IGN, None)
