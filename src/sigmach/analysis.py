@@ -211,27 +211,21 @@ def _lines(
     two signals of one speed never share a point, so any other start
     (another object, or a span cut at cap) is compared.  When the run's
     last step is at or before cap, no segment is born after cap and only
-    the live ones are cut, so the per-segment cap test is skipped."""
+    the live ones are cut, so no segment's times are compared with cap."""
     lines: dict[Hashable, list[_Span]] = {}
     setdefault = lines.setdefault
-    if cap is None or diagram.snapshots.time(-1) <= cap:
-        for seg in diagram.segments:
-            lo, hi = seg.birth_time, seg.death_time
-            if hi is None:
-                hi = cap
-            merged = setdefault(key(seg), [])
-            if merged and merged[-1][1] is lo:
-                merged[-1] = (merged[-1][0], hi)
-            else:
-                _merge(merged, lo, hi)
-        return lines
+    cut = cap is not None and cap < diagram.snapshots.time(-1)
     for seg in diagram.segments:
         lo, hi = seg.birth_time, seg.death_time
-        if _before(cap, hi):
-            if cap < lo:
+        if hi is None or cut and cap < hi:
+            if cut and cap < lo:
                 break
             hi = cap
-        _merge(setdefault(key(seg), []), lo, hi)
+        merged = setdefault(key(seg), [])
+        if merged and merged[-1][1] is lo:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            _merge(merged, lo, hi)
     return lines
 
 

@@ -21,6 +21,7 @@ that record: it builds a step's `RunState` when first read, for
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -228,19 +229,28 @@ def _sites(
     return sites
 
 
+def _positions(
+    time: Scalar, speeds: Sequence[Scalar], segments: Sequence[Segment]
+) -> Callable[[int], Scalar]:
+    """The position of a recorded line at the record's time: its birth point
+    while it is still there, else c + v*t."""
+    moves = [v * time for v in speeds]
+
+    def position(i: int) -> Scalar:
+        seg = segments[i]
+        return seg.birth_position if seg.birth_time is time else seg.intercept + moves[seg.rank]
+
+    return position
+
+
 def _state(
     record: _Record, speeds: Sequence[Scalar], segments: Sequence[Segment], solo: _Solo
 ) -> RunState:
-    """The state of a record: each site at its first line's position, a line
-    that is still at its birth point read from its segment."""
+    """The state of a record: each site at its first line's position."""
     time, count, _ = record
-    moves = [v * time for v in speeds]
-    sites: list[Site] = []
-    for i, sigs in _sites(record, segments, solo):
-        seg = segments[i]
-        p = seg.birth_position if seg.birth_time is time else seg.intercept + moves[seg.rank]
-        sites.append((p, sigs))
-    return RunState(time, tuple(sites), count)
+    position = _positions(time, speeds, segments)
+    sites = tuple((position(i), sigs) for i, sigs in _sites(record, segments, solo))
+    return RunState(time, sites, count)
 
 
 class _Snapshots:
@@ -316,22 +326,11 @@ class _Snapshots:
         time, _, ids = self._records[self._last_step(t)]
         if time != t:
             time = t  # between steps: no line is still at its birth point
-        segments, speeds = self._segments, self._speeds
-        moves = [v * time for v in speeds]
-        known: dict[int, Scalar] = {}
-
-        def position(i: int) -> Scalar:
-            p = known.get(i)
-            if p is None:
-                seg = segments[i]
-                p = seg.birth_position if seg.birth_time is time else seg.intercept + moves[seg.rank]
-                known[i] = p
-            return p
-
+        position = functools.cache(_positions(time, self._speeds, self._segments))
         a = bisect.bisect_left(ids, lo, key=position)
         b = bisect.bisect_right(ids, hi, a, key=position)
         return tuple(
-            (position(i), sigs) for i, sigs in _sites((time, 0, ids[a:b]), segments, self._solo)
+            (position(i), sigs) for i, sigs in _sites((time, 0, ids[a:b]), self._segments, self._solo)
         )
 
 

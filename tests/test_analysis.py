@@ -487,42 +487,62 @@ def _fresh(t):
     return None if t is None else t + 0
 
 
-def _line_cases():
-    """(id, diagram, caps): runs ended by each halt, with caps below, at and
-    above where each ends, and a strip whose segment times are equal but no
-    longer the same objects."""
-    strip_machine = support_machine_nu(2, 3)
-    strip = strip_configuration(StripSpec.make(2, 3, 0, 1), strip_machine)
+def _strip_run(limits):
+    machine = support_machine_nu(2, 3)
+    return run(machine, strip_configuration(StripSpec.make(2, 3, 0, 1), machine), limits)
+
+
+def _time_limited():
     three = Q.scalar(3)
-    timed = run(strip_machine, strip, RunLimits(max_time=three))
     caps = [Q.scalar(x) for x in (Fraction(3, 5), 2, 3, 4)] + [three, None]
-    counted = run(strip_machine, strip, RunLimits(max_events=40))
-    quiet = run(*build_gcd(8, 3))
-    missing = SignalMachine.build([("r", 1), ("l", -1), ("w", 0)], [(("r", "w"), ("l", "w"))])
-    stuck = run(missing, InitialConfiguration.build(missing, [("r", -4), ("r", 0), ("w", 2)]))
-    assert (timed.halt_reason, counted.halt_reason, quiet.halt_reason, stuck.halt_reason) == (
-        "time_limit", "event_limit", "quiescent", MISSING_RULE)
-    unshared = replace(timed, segments=[
+    return _strip_run(RunLimits(max_time=three)), caps
+
+
+def _event_limited():
+    diagram = _strip_run(RunLimits(max_events=40))
+    end = diagram.snapshots.time(-1)
+    return diagram, [end / 2, end, _fresh(end), end + 1, None]
+
+
+def _quiescent():
+    diagram = run(*build_gcd(8, 3))
+    return diagram, [None, Q.scalar(2), diagram.snapshots.time(-1) + 1]
+
+
+def _missing_rule():
+    machine = SignalMachine.build([("r", 1), ("l", -1), ("w", 0)], [(("r", "w"), ("l", "w"))])
+    diagram = run(machine, InitialConfiguration.build(machine, [("r", -4), ("r", 0), ("w", 2)]))
+    return diagram, [Q.one(), Q.scalar(2), Q.scalar(4), None]
+
+
+def _unshared_times():
+    """The time-limited strip, its segment times equal but no longer the
+    same objects."""
+    timed, caps = _time_limited()
+    return replace(timed, segments=[
         replace(seg, birth_time=_fresh(seg.birth_time), death_time=_fresh(seg.death_time))
         for seg in timed.segments
-    ])
-    end = counted.snapshots.time(-1)
-    return [
-        ("time_limit", timed, caps),
-        ("event_limit", counted, [end / 2, end, _fresh(end), end + 1, None]),
-        ("quiescent", quiet, [None, Q.scalar(2), quiet.snapshots.time(-1) + 1]),
-        ("missing_rule", stuck, [Q.one(), Q.scalar(2), Q.scalar(4), None]),
-        ("unshared_times", unshared, caps),
-    ]
+    ]), caps
 
 
-LINE_CASES = _line_cases()
+# name: (halt reason, builder of (diagram, caps)), with caps below, at and
+# above where each run ends; built in the test that reads them, not at import
+LINE_CASES = {
+    "time_limit": ("time_limit", _time_limited),
+    "event_limit": ("event_limit", _event_limited),
+    "quiescent": ("quiescent", _quiescent),
+    "missing_rule": (MISSING_RULE, _missing_rule),
+    "unshared_times": ("time_limit", _unshared_times),
+}
 
 
 class TestLines:
-    @pytest.mark.parametrize("name, diagram, caps", LINE_CASES, ids=[c[0] for c in LINE_CASES])
+    @pytest.mark.parametrize("name", LINE_CASES)
     @pytest.mark.parametrize("key", [analysis._SIGNAL_LINE, analysis._LINE], ids=["signal_line", "line"])
-    def test_the_merge_agrees_with_comparisons_alone(self, name, diagram, caps, key):
+    def test_the_merge_agrees_with_comparisons_alone(self, name, key):
+        halt, build = LINE_CASES[name]
+        diagram, caps = build()
+        assert diagram.halt_reason == halt
         for cap in caps:
             got = analysis._lines(diagram, cap, key)
             assert list(got.items()) == list(_reference_lines(diagram, cap, key).items()), (name, cap)
@@ -530,8 +550,7 @@ class TestLines:
     def test_unshared_times_still_merge(self):
         # no segment of this copy starts at the object that ends its line's
         # last span, so every merge is decided by comparison
-        name, diagram, _ = LINE_CASES[-1]
-        assert name == "unshared_times"
+        diagram, _ = _unshared_times()
         ends = {id(seg.death_time) for seg in diagram.segments}
         assert not any(id(seg.birth_time) in ends for seg in diagram.segments)
         merged = analysis._lines(diagram, Q.scalar(3), analysis._SIGNAL_LINE)

@@ -138,8 +138,18 @@ def test_a_zero_delay_fails_scheduler(monkeypatch):
 
 
 def test_a_test_runs_under_the_hang_guard():
-    # tests/conftest.py arms a 120 s alarm around every test, so a fault
-    # that keeps a suite running fails that test by name instead of hanging
+    # tests/conftest.py arms a 120 s alarm around every test's setup, call
+    # and teardown, so a fault that keeps a suite running fails that test by
+    # name instead of hanging
     remaining, _ = signal.getitimer(signal.ITIMER_REAL)
     assert 0 < remaining <= 120
     assert signal.getsignal(signal.SIGALRM) not in (signal.SIG_DFL, signal.SIG_IGN, None)
+
+
+@pytest.fixture(scope="module")
+def alarm_at_module_setup():
+    return signal.getitimer(signal.ITIMER_REAL)[0]
+
+
+def test_the_hang_guard_spans_module_fixtures(alarm_at_module_setup):
+    assert 0 < alarm_at_module_setup <= 120
