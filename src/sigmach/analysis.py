@@ -204,14 +204,15 @@ def _lines(
     intervals.  Segments are recorded in birth order, so each group's spans
     arrive sorted by their starts.
 
-    Most merges are decided by identity: a step gives its time object to
+    A line's spans never overlap, since two signals of one speed never
+    share a point, so a span either continues the line's last one, starting
+    where it ends, or follows it after a gap and is appended.  Most
+    continuations are told by identity: a step gives its time object to
     every line it ends and every line it opens, so a segment that continues
-    its line starts at the very object that ends the line's last span, and
-    extends it with no comparison.  A line's segments never overlap, since
-    two signals of one speed never share a point, so any other start
-    (another object, or a span cut at cap) is compared.  When the run's
-    last step is at or before cap, no segment is born after cap and only
-    the live ones are cut, so no segment's times are compared with cap."""
+    its line starts at the very object that ends the line's last span; any
+    other start is compared.  When the run's last step is at or before cap,
+    no segment is born after cap and only the live ones are cut, so no
+    segment's times are compared with cap."""
     lines: dict[Hashable, list[_Span]] = {}
     setdefault = lines.setdefault
     cut = cap is not None and cap < diagram.snapshots.time(-1)
@@ -222,21 +223,11 @@ def _lines(
                 break
             hi = cap
         merged = setdefault(key(seg), [])
-        if merged and merged[-1][1] is lo:
+        if merged and (merged[-1][1] is lo or merged[-1][1] == lo):
             merged[-1] = (merged[-1][0], hi)
         else:
-            _merge(merged, lo, hi)
+            merged.append((lo, hi))
     return lines
-
-
-def _merge(merged: list[_Span], lo: Scalar, hi: Optional[Scalar]) -> None:
-    """Add the span [lo, hi] to a line's sorted, disjoint spans, none of
-    which starts after lo."""
-    if merged and not _before(merged[-1][1], lo):
-        if _before(merged[-1][1], hi):
-            merged[-1] = (merged[-1][0], hi)
-    else:
-        merged.append((lo, hi))
 
 
 # -- periodicity -----------------------------------------------------------------

@@ -26,7 +26,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .model import InitialConfiguration, MetaSignal, SignalMachine, Site
 from .scalars import Scalar, affine, scaled_difference
@@ -45,9 +45,6 @@ class RunState:
     time: Scalar
     sites: tuple[Site, ...]
     event_count: int = 0
-
-    def positions(self) -> tuple[Scalar, ...]:
-        return tuple(p for p, _ in self.sites)
 
 
 class Event(NamedTuple):
@@ -182,10 +179,13 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 # frame.  A step with a second entry due at t, live or stale, takes the
 # general pass, `step_groups`: it pops every pair due at t, and pairs that
 # share a line chain into one collision group, a contiguous slice of
-# `order`.  Only the neighbours of a fired group form new pairs, so an event
-# costs O(k log n) for k colliding signals, as in the kinetic sorted list of
-# Basch, Guibas and Hershberger ("Data structures for mobile data", 1999)
-# and the Bentley-Ottmann sweep.
+# `order`.  All its groups' lines die first; then `open_site` opens each
+# group's outgoing lines, left to right, in its place.  The scheduler starts
+# at t = 0 and opens each start site through `open_site` too.  Only the
+# edges of an opened site form new pairs, so an event costs O(k log n) for
+# k colliding signals, as in the kinetic sorted list of Basch, Guibas and
+# Hershberger ("Data structures for mobile data", 1999) and the
+# Bentley-Ottmann sweep.
 # A collision computes its meeting point c + v*t, then c = p + (-v)*t only
 # for outgoing speeds that no incoming line had, and for each new neighbour
 # pair (c_right - c_left) * 1/(v_left - v_right); the negated speeds and the
@@ -193,10 +193,10 @@ def common_horizon(*diagrams: SpaceTimeDiagram) -> Optional[Scalar]:
 # kernel (`affine`, `scaled_difference`), which gives the integers of the
 # operator chain without building its middle scalar.  Each call passes
 # `den_lcm`, the lcm of the denominators of the speeds, the closing
-# reciprocals, the start sites and the start time: every other scalar of
-# the run is built from these by sums and products, which only multiply
-# denominators and divide factors out, so every prime of its denominator
-# divides den_lcm, and a kernel proves a reduction trivial on small gcds.
+# reciprocals and the start sites: every other scalar of the run is built
+# from these by sums and products, which only multiply denominators and
+# divide factors out, so every prime of its denominator divides den_lcm,
+# and a kernel proves a reduction trivial on small gcds.
 # An outgoing signal of an incoming line's speed keeps that line's c exactly:
 # it leaves the same point at the same speed, so it is on that line.
 
@@ -278,9 +278,7 @@ class _Snapshots:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self._records)))]
+    def __getitem__(self, i: int) -> RunState:
         state = self._states[i]
         if state is None:
             state = self._states[i] = self._build(self._records[i])
@@ -336,10 +334,12 @@ class _Snapshots:
 
 class _Runner:
     """The scheduler: the ids of live lines in spatial order, the heap of
-    neighbour meetings, the clock, and the events and segments recorded
-    since construction."""
+    neighbour meetings, the clock, which starts at t = 0, and the events and
+    segments recorded since.  Raises ValueError for start sites whose
+    positions do not strictly increase or that hold two signals of one
+    speed."""
 
-    def __init__(self, machine: SignalMachine, sites: Sequence[Site], time: Scalar) -> None:
+    def __init__(self, machine: SignalMachine, sites: Sequence[Site]) -> None:
         self.machine = machine
         self.speeds = speeds = machine.distinct_speeds()
         self.solo: _Solo = {ms: frozenset((ms,)) for ms in machine.signals}
@@ -353,46 +353,51 @@ class _Runner:
         self.closing = [[1 / (v - w) for w in speeds[:i]] for i, v in enumerate(speeds)]
         # the primes of every denominator of the run (see above)
         self.den_lcm = math.lcm(
-            time.n, *(v.n for v in speeds), *(k.n for row in self.closing for k in row),
-            *(p.n for p, _ in sites))
-        self.time = time
+            *(v.n for v in speeds), *(k.n for row in self.closing for k in row), *(p.n for p, _ in sites))
+        self.time = machine.ctx.zero()
         self.event_count = 0
         self.events: list[Event] = []
         self.segments: list[Segment] = []
         self.order: list[int] = []
-        # at t = 0 each line's intercept c = p - v*0 is its initial point p
-        zero = not time.sign()
-        for p, sigs in sites:
-            carried = {r: p for r, _, _ in self.entries[sigs]} if zero else {}
-            self.order += self.open_site(p, sigs, None, carried)
         self.heap: list[tuple[Scalar, int, int]] = []
-        self.push_pairs(range(len(self.order) - 1))
+        for i, (p, sigs) in enumerate(sites):
+            if i and not sites[i - 1][0] < p:
+                raise ValueError(f"start site at x={p} is not right of the one before it, at x={sites[i - 1][0]}")
+            entries = self.entries[sigs]
+            for (r, _, a), (s, _, b) in zip(entries, entries[1:]):
+                if r == s:
+                    raise ValueError(
+                        f"start site at x={p} holds two signals of speed {speeds[r]}: {a.name} and {b.name}")
+            self.open_site(p, sigs, None, len(self.order), len(self.order))
 
-    def open_site(
-        self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int], carried: dict
-    ) -> range:
-        """One new segment per signal at (p, now), slowest first, and their
-        ids.  A signal whose speed rank is a key of `carried` takes its
-        intercept."""
-        speeds, negated, time, segments = self.speeds, self.negated, self.time, self.segments
+    def open_site(self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int], start: int, end: int) -> int:
+        """Open one line per signal at (p, now), slowest first, in place of
+        the lines order[start:end], and queue the meeting of each new edge
+        pair whose right line is still alive.  An outgoing signal of a
+        meeting line's speed keeps that line's intercept; a start line's
+        intercept is its point.  Returns the number of lines opened."""
+        speeds, negated, time, segments, order = self.speeds, self.negated, self.time, self.segments, self.order
         first, den_lcm = len(segments), self.den_lcm
+        carried = {segments[i].rank: segments[i].intercept for i in order[start:end]}
         for r, _, ms in self.entries[sigs]:
-            c = carried[r] if r in carried else affine(p, negated[r], time, den_lcm)
+            if ev is None:
+                c = p
+            elif r in carried:
+                c = carried[r]
+            else:
+                c = affine(p, negated[r], time, den_lcm)
             segments.append(Segment(ms, speeds[r], r, c, p, time, ev))
-        return range(first, len(segments))
-
-    def push_pairs(self, lefts: Iterable[int]) -> None:
-        """Queue the meeting of order[i] and order[i + 1] for each i whose
-        left line is the faster."""
-        order, segments, closing, heap = self.order, self.segments, self.closing, self.heap
-        den_lcm = self.den_lcm
-        for i in lefts:
-            a, b = order[i], order[i + 1]
-            left, right = segments[a], segments[b]
-            if left.rank > right.rank:
-                k = closing[left.rank][right.rank]
-                t = scaled_difference(right.intercept, left.intercept, k, den_lcm)
-                heapq.heappush(heap, (t, a, b))
+        order[start:end] = range(first, len(segments))
+        stop = start + len(segments) - first
+        # a pair may start at each edge, and at one when no line went out
+        for e in (start, stop) if stop > start else (start,):
+            if 0 < e < len(order):
+                u, w = order[e - 1], order[e]
+                lo, hi = segments[u], segments[w]
+                if lo.rank > hi.rank and hi.death_event is None:
+                    k = self.closing[lo.rank][hi.rank]
+                    heapq.heappush(self.heap, (scaled_difference(hi.intercept, lo.intercept, k, den_lcm), u, w))
+        return stop - start
 
     def next_time(self) -> Optional[Scalar]:
         """Earliest meeting time ahead, None when nothing will ever meet."""
@@ -484,31 +489,19 @@ class _Runner:
                 raise MissingRuleError(p, t, incoming)
             fired.append((start, end, p, incoming, outgoing))
         self.time = t
-        # one pass, left to right: each group's lines die and its outgoing ones
-        # take its place, moved by `shift`; both new edges may start a pair.
-        # Edge indices never decrease, so a repeat is the last one kept, and
-        # only the last can be the right end, which has no pair
-        lefts: list[int] = []
-        shift = 0
-        for start, end, p, incoming, outgoing in fired:
-            start, end, idx = start + shift, end + shift, self.event_count
+        # every group's lines die before any group opens, so that no group
+        # queues a pair with a line that a group to its right replaces; then
+        # the groups open left to right, each in its place moved by `shift`
+        first = self.event_count
+        for idx, (start, end, p, incoming, outgoing) in enumerate(fired, first):
             self.events.append(Event(idx, t, p, incoming, outgoing))
-            self.event_count += 1
-            carried = {}
             for i in order[start:end]:
                 seg = segments[i]
                 seg.death_time, seg.death_event = t, idx
-                carried[seg.rank] = seg.intercept
-            ids = self.open_site(p, outgoing, idx, carried)
-            order[start:end] = ids
-            shift += len(ids) - (end - start)
-            if start and (not lefts or lefts[-1] < start - 1):
-                lefts.append(start - 1)
-            if ids:
-                lefts.append(start + len(ids) - 1)
-        if lefts and lefts[-1] == len(order) - 1:
-            lefts.pop()
-        self.push_pairs(lefts)
+        self.event_count = first + len(fired)
+        shift = 0
+        for idx, (start, end, p, _, outgoing) in enumerate(fired, first):
+            shift += self.open_site(p, outgoing, idx, start + shift, end + shift) - (end - start)
 
     def record(self) -> _Record:
         return self.time, self.event_count, tuple(self.order)
@@ -519,7 +512,7 @@ def next_collision_delta(
 ) -> tuple[Optional[Scalar], list[tuple[Scalar, frozenset[MetaSignal]]]]:
     """Minimal positive delay until some signals meet, plus every meeting
     point realized at that delay.  (None, []) when nothing ever collides."""
-    runner = _Runner(machine, state.sites, state.time)
+    runner = _Runner(machine, state.sites)
     t = runner.next_time()
     if t is None:
         return None, []
@@ -528,7 +521,7 @@ def next_collision_delta(
         (p, frozenset(segments[i].signal for i in order[start:end]))
         for start, end, p in runner.pop_groups(t)
     ]
-    return t - state.time, groups
+    return t, groups
 
 
 # -- full runs ------------------------------------------------------------------
@@ -545,7 +538,7 @@ def run(
     """Iterate the dynamics until quiescence, a limit, a missing rule, or a
     certificate from the optional analysis callback."""
     limits = limits or RunLimits()
-    runner = _Runner(machine, config.sites, machine.ctx.zero())
+    runner = _Runner(machine, config.sites)
     snapshots = _Snapshots(runner.speeds, runner.segments, runner.solo)
     snapshots.append(runner.record())
     halt_reason = QUIESCENT

@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -269,6 +270,48 @@ class TestRun:
         assert any(e.position.b != 0 for e in diagram.events)
 
 
+def _reversed_sm4():
+    machine, config = build_sm4()
+    return machine, config.sites[::-1], "start site at x=-1 is not right of the one before it, at x=1"
+
+
+def _sm4_sites_at_one_point():
+    machine, config = build_sm4()
+    (p, first), (_, second) = config.sites
+    return machine, ((p, first), (p, second)), "start site at x=-1 is not right of the one before it, at x=-1"
+
+
+def _one_speed_twice():
+    machine = SignalMachine.build([("a", 1), ("b", 1), ("w", 0)], [(("a", "w"), ("w",)), (("b", "w"), ("w",))])
+    a, b, w = machine.signals
+    sites = ((Q.zero(), frozenset((a, b))), (Q.one(), frozenset((w,))))
+    return machine, sites, "start site at x=0 holds two signals of speed 1: a and b"
+
+
+# Sites that `InitialConfiguration.build` refuses, built directly.  Run
+# unchecked, sm4 reversed halts quiescent after no event, sm4 at one point
+# loops on events at t = 0, and a and b meet w as two events at one point.
+MALFORMED_SITES = {
+    "reversed": _reversed_sm4,
+    "one_point": _sm4_sites_at_one_point,
+    "one_speed_twice": _one_speed_twice,
+}
+
+
+class TestMalformedStartSites:
+    @pytest.mark.parametrize("case", MALFORMED_SITES)
+    def test_run_refuses_them(self, case):
+        machine, sites, message = MALFORMED_SITES[case]()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(machine, InitialConfiguration(sites))
+
+    @pytest.mark.parametrize("case", MALFORMED_SITES)
+    def test_next_collision_delta_refuses_them(self, case):
+        machine, sites, message = MALFORMED_SITES[case]()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next_collision_delta(machine, RunState(Q.scalar(5), sites))
+
+
 class TestConfigurationAt:
     def test_time_zero_is_the_initial_configuration(self):
         machine, config = build_sm4()
@@ -380,7 +423,8 @@ class TestSchedulerOracle:
         machine, config = build_modulo(9, 3)  # has simultaneous distinct groups
         diagram = run(machine, config)
         by_index = {}
-        for snap_prev, snap in zip(diagram.snapshots, diagram.snapshots[1:]):
+        snapshots = list(diagram.snapshots)
+        for snap_prev, snap in zip(snapshots, snapshots[1:]):
             batch = [e for e in diagram.events if snap_prev.event_count <= e.index < snap.event_count]
             assert len({e.time for e in batch}) == 1
             by_index.setdefault(len(batch), 0)
@@ -508,10 +552,10 @@ class TestSnapshots:
         assert [backwards[i] for i in reversed(range(n))] == want[::-1]
         negative = run(machine, config, limits).snapshots
         assert [negative[-k] for k in range(1, n + 1)] == want[::-1]
-        sliced = run(machine, config, limits).snapshots
-        assert sliced[n // 2:] == want[n // 2:]
-        assert sliced[::-1] == want[::-1]
-        assert sliced[:n // 2] == want[:n // 2]
+        halves = run(machine, config, limits).snapshots
+        assert [halves[i] for i in range(n // 2, n)] == want[n // 2:]
+        assert [halves[i] for i in reversed(range(n))] == want[::-1]
+        assert [halves[i] for i in range(n // 2)] == want[:n // 2]
         assert list(run(machine, config, limits).snapshots) == want
 
     @pytest.mark.parametrize("machine, config, limits", SNAPSHOT_SYSTEMS)
@@ -718,10 +762,12 @@ def test_a_run_reduces_by_the_primes_of_its_sites():
 
 
 def test_steps_from_a_state_reduce_by_the_primes_of_its_time():
-    """From sm4's sites at t = 1/13^40 the first meeting is at 7/9: only the
-    start time has 13, and 13^40 cancels from the meeting point.  sm4's
-    states from t0 are those from 0, each moved t0 later, so the oracle's
-    states and events give every step's sites and meetings."""
+    """From sm4's sites at t = 1/13^40 the first meeting is at 7/9.  Only
+    the start time has 13, and the scheduler starts a state's sites at
+    t = 0, so its delays and meeting points are in lowest terms with no 13
+    to cancel.  sm4's states from t0 are those from 0, each moved t0 later,
+    so the oracle's states and events give every step's sites and
+    meetings."""
     machine, config = build_sm4()
     t0 = Q.scalar(Fraction(1, 13**40))
     events, _, states = brute_force_run(machine, config, RunLimits(max_events=20))

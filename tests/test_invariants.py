@@ -1,24 +1,26 @@
 """Cross-cutting structural invariants checked over randomized runs."""
 
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
 
 import sigmach.analysis as analysis
+import sigmach.engine as engine
 from sigmach.analysis import ContractionSearch, detect_contraction, two_speed_bound_check
 from sigmach.engine import QUIESCENT, RunLimits, RunState, configuration_at, run
-from sigmach.mesh import StripSpec, strip_configuration, support_machine_nu
+from sigmach.mesh import MeshSpec, StripSpec, mesh_configuration, strip_configuration, support_machine_nu
 from sigmach.model import InitialConfiguration, SignalMachine
 from sigmach.presets import build_gcd, build_gcd_phi, build_sm4
 from sigmach.scalars import FieldContext
-from sigmach.verify import random_configuration, random_machine
+from sigmach.verify import random_configuration, random_machine, random_run_case
 
 Q = FieldContext(0)
 
 
 def assert_state_well_formed(machine, state):
-    positions = state.positions()
+    positions = [p for p, _ in state.sites]
     for a, b in zip(positions, positions[1:]):
         assert a < b, "site positions must be strictly increasing"
     for _, sigs in state.sites:
@@ -74,6 +76,67 @@ def test_segments_agree_with_the_trajectory_condition():
                     birth.position,
                     birth.time,
                 )
+
+
+def _heap_systems():
+    yield (*build_sm4(), RunLimits(max_events=1000))
+    yield (*build_gcd(100, 3), RunLimits())
+    yield (*build_gcd_phi(), RunLimits(max_events=1000))
+    machine = support_machine_nu(2, 3)
+    spec = MeshSpec(StripSpec.make(2, 3, 0, 1), 6)
+    yield machine, mesh_configuration(spec, machine), RunLimits(max_time=spec.strip.horizon)
+    rng = random.Random(20261022)
+    for i in range(200):
+        yield random_run_case(rng, i)
+
+
+def test_the_heap_holds_exactly_the_closing_neighbour_pairs(monkeypatch):
+    """After the scheduler starts and after every step, its live heap
+    entries are exactly the neighbour pairs of `order` whose left line is
+    the faster; no pair is pushed twice, and every pushed pair is such a
+    neighbour pair when its step ends, so none is queued that a later
+    group of the same step replaced."""
+    pushed = []
+
+    class CountingHeap:
+        def __getattr__(self, name):
+            return getattr(heapq, name)
+
+        def heappush(self, heap, entry):
+            pushed.append(entry[1:])
+            heapq.heappush(heap, entry)
+
+    def check(runner, since):
+        segments, order = runner.segments, runner.order
+        closing = {
+            (a, b) for a, b in zip(order, order[1:]) if segments[a].rank > segments[b].rank
+        }
+        live = {
+            (a, b) for _, a, b in runner.heap
+            if segments[a].death_event is None and segments[b].death_event is None
+        }
+        assert live == closing
+        assert closing.issuperset(pushed[since:])
+
+    class CheckedRunner(engine._Runner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            check(self, 0)
+
+        def step(self, t):
+            since = len(pushed)
+            super().step(t)
+            check(self, since)
+
+    monkeypatch.setattr(engine, "heapq", CountingHeap())
+    monkeypatch.setattr(engine, "_Runner", CheckedRunner)
+    total = 0
+    for machine, config, limits in _heap_systems():
+        pushed.clear()
+        run(machine, config, limits)
+        assert len(set(pushed)) == len(pushed)
+        total += len(pushed)
+    assert total
 
 
 def test_strip_configuration_at_central_instant_shows_the_triple():
