@@ -362,22 +362,21 @@ class _Runner:
         self.heap: list[tuple[Scalar, int, int]] = []
         for i, (p, sigs) in enumerate(sites):
             if i and not sites[i - 1][0] < p:
-                raise ValueError(f"start site at x={p} is not right of the one before it, at x={sites[i - 1][0]}")
-            entries = self.entries[sigs]
-            for (r, _, a), (s, _, b) in zip(entries, entries[1:]):
-                if r == s:
-                    raise ValueError(
-                        f"start site at x={p} holds two signals of speed {speeds[r]}: {a.name} and {b.name}")
+                raise ValueError(f"start site at x={p} is not right of the one at x={sites[i - 1][0]}")
+            if len({r for r, _, _ in self.entries[sigs]}) < len(sigs):
+                raise ValueError(f"start site at x={p} holds two signals of one speed")
             self.open_site(p, sigs, None, len(self.order), len(self.order))
 
-    def open_site(self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int], start: int, end: int) -> int:
+    def open_site(
+        self, p: Scalar, sigs: frozenset[MetaSignal], ev: Optional[int], start: int, end: int
+    ) -> int:
         """Open one line per signal at (p, now), slowest first, in place of
         the lines order[start:end], and queue the meeting of each new edge
         pair whose right line is still alive.  An outgoing signal of a
         meeting line's speed keeps that line's intercept; a start line's
         intercept is its point.  Returns the number of lines opened."""
-        speeds, negated, time, segments, order = self.speeds, self.negated, self.time, self.segments, self.order
-        first, den_lcm = len(segments), self.den_lcm
+        speeds, negated, time, segments = self.speeds, self.negated, self.time, self.segments
+        order, heap, first, den_lcm = self.order, self.heap, len(segments), self.den_lcm
         carried = {segments[i].rank: segments[i].intercept for i in order[start:end]}
         for r, _, ms in self.entries[sigs]:
             if ev is None:
@@ -396,7 +395,7 @@ class _Runner:
                 lo, hi = segments[u], segments[w]
                 if lo.rank > hi.rank and hi.death_event is None:
                     k = self.closing[lo.rank][hi.rank]
-                    heapq.heappush(self.heap, (scaled_difference(hi.intercept, lo.intercept, k, den_lcm), u, w))
+                    heapq.heappush(heap, (scaled_difference(hi.intercept, lo.intercept, k, den_lcm), u, w))
         return stop - start
 
     def next_time(self) -> Optional[Scalar]:
@@ -489,9 +488,8 @@ class _Runner:
                 raise MissingRuleError(p, t, incoming)
             fired.append((start, end, p, incoming, outgoing))
         self.time = t
-        # every group's lines die before any group opens, so that no group
-        # queues a pair with a line that a group to its right replaces; then
-        # the groups open left to right, each in its place moved by `shift`
+        # all groups' lines die first, so that none queues a pair with a line
+        # that a later group replaces; then they open left to right, by `shift`
         first = self.event_count
         for idx, (start, end, p, incoming, outgoing) in enumerate(fired, first):
             self.events.append(Event(idx, t, p, incoming, outgoing))
@@ -511,7 +509,8 @@ def next_collision_delta(
     machine: SignalMachine, state: RunState
 ) -> tuple[Optional[Scalar], list[tuple[Scalar, frozenset[MetaSignal]]]]:
     """Minimal positive delay until some signals meet, plus every meeting
-    point realized at that delay.  (None, []) when nothing ever collides."""
+    point realized at that delay, from the state's sites started at t = 0.
+    (None, []) when nothing ever collides."""
     runner = _Runner(machine, state.sites)
     t = runner.next_time()
     if t is None:

@@ -272,20 +272,21 @@ class TestRun:
 
 def _reversed_sm4():
     machine, config = build_sm4()
-    return machine, config.sites[::-1], "start site at x=-1 is not right of the one before it, at x=1"
+    return machine, config.sites[::-1], "start site at x=-1 is not right of the one at x=1"
 
 
 def _sm4_sites_at_one_point():
     machine, config = build_sm4()
     (p, first), (_, second) = config.sites
-    return machine, ((p, first), (p, second)), "start site at x=-1 is not right of the one before it, at x=-1"
+    return machine, ((p, first), (p, second)), "start site at x=-1 is not right of the one at x=-1"
 
 
 def _one_speed_twice():
-    machine = SignalMachine.build([("a", 1), ("b", 1), ("w", 0)], [(("a", "w"), ("w",)), (("b", "w"), ("w",))])
+    machine = SignalMachine.build(
+        [("a", 1), ("b", 1), ("w", 0)], [(("a", "w"), ("w",)), (("b", "w"), ("w",))])
     a, b, w = machine.signals
     sites = ((Q.zero(), frozenset((a, b))), (Q.one(), frozenset((w,))))
-    return machine, sites, "start site at x=0 holds two signals of speed 1: a and b"
+    return machine, sites, "start site at x=0 holds two signals of one speed"
 
 
 # Sites that `InitialConfiguration.build` refuses, built directly.  Run
